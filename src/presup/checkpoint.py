@@ -1,60 +1,24 @@
 """Self-describing JSON model checkpoints.
 
-A checkpoint holds the model config, the vocabulary, every named parameter
-tensor (trainable and frozen), and the frozen embedding matrix, so loading
-reproduces evaluation outputs exactly.
+A checkpoint is an envelope (format, dataset, variant) around the model's
+own ``state()``: for the neural variants the config, the vocabulary, every
+named parameter tensor (trainable and frozen) and the frozen embedding
+matrix, so loading reproduces evaluation outputs exactly.
 """
 
 from __future__ import annotations
 
 import json
 
-import numpy as np
-
-from .config import ModelConfig
 from .errors import UsageError
-from .models import CnnModel, LogRegModel, LstmBaselineModel, MfcModel, WPModel
-from .tensor import Tensor
-from .vocab import EmbeddingTable, Vocab
+from .models import VARIANTS
 
 FORMAT = "presup-checkpoint-v1"
 
-_NEURAL = {"wp": WPModel, "lstm": LstmBaselineModel, "cnn": CnnModel}
-
-
-def _array_payload(arr: np.ndarray) -> dict:
-    return {"shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
-
-
-def _array_from(payload: dict) -> np.ndarray:
-    return np.array(payload["data"], dtype=np.float64).reshape(payload["shape"])
-
 
 def save_checkpoint(path, model, dataset_id: str = "", extra: dict | None = None) -> None:
-    cfg = getattr(model, "cfg", None)
-    doc: dict = {
-        "format": FORMAT,
-        "dataset": dataset_id,
-    }
-    if isinstance(model, MfcModel):
-        doc["variant"] = "mfc"
-        doc["majority"] = model.majority
-    elif isinstance(model, LogRegModel):
-        doc["variant"] = "logreg"
-        doc["config"] = _cfg_dict(cfg)
-        doc["features"] = sorted(model.feature_index, key=model.feature_index.get)
-        doc["weights"] = model.w.tolist()
-        doc["bias"] = model.b
-    else:
-        doc["variant"] = cfg.variant
-        doc["config"] = _cfg_dict(cfg)
-        doc["vocab"] = {"tokens": model.vocab.tokens, "pos_tags": model.vocab.pos_tags}
-        doc["embeddings"] = _array_payload(model.embeddings.matrix)
-        doc["params"] = {
-            name: dict(_array_payload(model.params[name].data),
-                       trainable=model.params.is_trainable(name))
-            for name in model.params.names()
-        }
+    doc = {"format": FORMAT, "dataset": dataset_id, "variant": model.variant,
+           **model.state()}
     if extra:
         doc["extra"] = extra
     with open(path, "w", encoding="utf-8") as f:
@@ -62,38 +26,22 @@ def save_checkpoint(path, model, dataset_id: str = "", extra: dict | None = None
         f.write("\n")
 
 
-def _cfg_dict(cfg: ModelConfig) -> dict:
-    d = dict(vars(cfg))
-    d["cnn_widths"] = list(d["cnn_widths"])
-    return d
-
-
 def load_checkpoint(path):
-    """Returns (model, dataset_id); the model exposes predict_label."""
+    """Returns (model, dataset_id); the model exposes predict_label. A file
+    that is not a well-formed checkpoint is a UsageError naming the path and
+    the offending field."""
     with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    if doc.get("format") != FORMAT:
+        try:
+            doc = json.load(f)
+        except ValueError as e:  # truncated or not JSON at all
+            raise UsageError(f"{path}: not valid JSON ({e})") from None
+    if not hasattr(doc, "get") or doc.get("format") != FORMAT:
         raise UsageError(f"{path}: not a {FORMAT} file")
-    variant = doc["variant"]
-    dataset_id = doc.get("dataset", "")
-    if variant == "mfc":
-        model = MfcModel()
-        model.majority = doc["majority"]
-        return model, dataset_id
-    if variant == "logreg":
-        cfg = ModelConfig(**doc["config"])
-        model = LogRegModel(cfg)
-        model.feature_index = {feat: i for i, feat in enumerate(doc["features"])}
-        model.w = np.array(doc["weights"], dtype=np.float64)
-        model.b = float(doc["bias"])
-        return model, dataset_id
-    if variant not in _NEURAL:
-        raise UsageError(f"{path}: unknown variant {variant!r}")
-    cfg = ModelConfig(**doc["config"])
-    vocab = Vocab(tokens=doc["vocab"]["tokens"], pos_tags=doc["vocab"]["pos_tags"])
-    embeddings = EmbeddingTable(matrix=_array_from(doc["embeddings"]), trainable=False)
-    model = _NEURAL[variant](cfg, vocab, embeddings)
-    for name, payload in doc["params"].items():
-        model.params.add(name, Tensor(_array_from(payload)),
-                         trainable=payload["trainable"])
-    return model, dataset_id
+    cls = VARIANTS.get(str(doc.get("variant")))
+    if cls is None:
+        raise UsageError(f"{path}: unknown variant {doc.get('variant')!r}")
+    try:
+        model = cls.from_state(doc)
+    except UsageError as e:
+        raise UsageError(f"{path}: {e}") from None
+    return model, doc.get("dataset", "")

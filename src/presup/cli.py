@@ -18,12 +18,10 @@ from .config import RunConfig, apply_overrides, load_config_dict
 from .errors import ParseError, UsageError
 from .extraction import parse_corpus, read_samples, run_extraction, write_samples
 from .metrics import contingency, mcnemar
-from .models import CnnModel, LogRegModel, LstmBaselineModel, MfcModel, WPModel
+from .models import VARIANTS
 from .rng import Rng
 from .training import evaluate, sample_target, train
 from .vocab import build_embedding_table, build_vocab, load_embeddings
-
-_NEURAL = {"wp": WPModel, "lstm": LstmBaselineModel, "cnn": CnnModel}
 
 
 def _load_run_config(args) -> RunConfig:
@@ -90,23 +88,17 @@ def cmd_train(args) -> int:
     train_set = _load_split(cfg, out, "train")
     dev_set = _load_split(cfg, out, "dev")
     variant = cfg.model.variant
+    model_cls = VARIANTS[variant]
     ckpt_dir = out / "checkpoints"
     ckpt_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = ckpt_dir / f"{variant}_{cfg.train.dataset}.json"
 
-    if variant == "mfc":
-        model = MfcModel()
+    if hasattr(model_cls, "fit"):  # baselines fitted in one call: no epochs, no history
+        model = model_cls(cfg.model)
         model.fit(train_set)
         save_checkpoint(ckpt_path, model, dataset_id=cfg.train.dataset)
         acc = evaluate(model, dev_set).accuracy
-        print(f"mfc majority={model.majority} dev accuracy={acc:.4f}")
-        return 0
-    if variant == "logreg":
-        model = LogRegModel(cfg.model)
-        model.fit(train_set)
-        save_checkpoint(ckpt_path, model, dataset_id=cfg.train.dataset)
-        acc = evaluate(model, dev_set).accuracy
-        print(f"logreg dev accuracy={acc:.4f}")
+        print(f"{variant} dev accuracy={acc:.4f}")
         return 0
 
     vocab = build_vocab(train_set)
@@ -116,7 +108,7 @@ def cmd_train(args) -> int:
         embeddings = load_embeddings(emb_path, vocab, emb_rng, dim=cfg.model.embed_dim)
     else:
         embeddings = build_embedding_table(vocab, emb_rng, cfg.model.embed_dim)
-    model = _NEURAL[variant](cfg.model, vocab, embeddings, rng=Rng(cfg.sub_seed("init")))
+    model = model_cls(cfg.model, vocab, embeddings, rng=Rng(cfg.sub_seed("init")))
     result = train(model, train_set, dev_set, cfg.train, rng=Rng(cfg.sub_seed("train")))
     save_checkpoint(ckpt_path, model, dataset_id=cfg.train.dataset,
                     extra={"best_epoch": result.best_epoch,

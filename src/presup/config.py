@@ -10,6 +10,7 @@ from .errors import UsageError
 from .rng import derive_seed
 
 DEFAULT_ADVERBS = ("again", "also", "still", "too", "yet")
+MODEL_VARIANTS = ("wp", "lstm", "cnn", "logreg", "mfc")  # the classes are models.VARIANTS
 
 
 @dataclass
@@ -34,7 +35,7 @@ class ExtractionConfig:
 
 @dataclass
 class ModelConfig:
-    variant: str = "wp"          # wp | lstm | cnn | logreg | mfc
+    variant: str = "wp"          # one of MODEL_VARIANTS
     hidden_size: int = 64
     embed_dim: int = 300
     pos_mode: str = "off"        # off | one_hot | embed
@@ -50,7 +51,9 @@ class ModelConfig:
 
     def __post_init__(self):
         self.cnn_widths = tuple(self.cnn_widths)
-        if self.variant not in ("wp", "lstm", "cnn", "logreg", "mfc"):
+        if len(set(self.cnn_widths)) != len(self.cnn_widths):
+            raise UsageError(f"cnn_widths must be distinct, got {self.cnn_widths}")
+        if self.variant not in MODEL_VARIANTS:
             raise UsageError(f"unknown model variant {self.variant!r}")
         if self.pos_mode not in ("off", "one_hot", "embed"):
             raise UsageError(f"unknown pos_mode {self.pos_mode!r}")

@@ -106,14 +106,12 @@ class ExtractionStats:
 # parsing
 
 
-def parse_corpus(stream, fmt: str = "tsv") -> list:
+def parse_corpus(stream) -> list:
     """Parse the three-column corpus format into Documents.
 
     Lines: ``#doc <doc_id> <section_id>`` opens a document; token lines are
     ``token<TAB>pos<TAB>head_index``; a blank line closes the sentence.
     """
-    if fmt != "tsv":
-        raise UsageError(f"unknown corpus format {fmt!r}")
     if isinstance(stream, str):
         lines = stream.splitlines()
     else:

@@ -1,8 +1,10 @@
 """The weighted-pooling attention classifier and its four baselines.
 
-All neural variants share one bidirectional LSTM encoder and the same dense
-head; the WP model differs from the mean-pooling LSTM baseline only in how
-the encoder states are pooled, so the two have identical parameter counts.
+WP and the mean-pooling LSTM baseline share one bidirectional LSTM encoder
+and the same dense head; they differ only in how the encoder states are
+pooled, so the two have identical parameter counts. ``VARIANTS`` maps each
+variant name to its class; every class writes its own part of a checkpoint
+with ``state()`` and reads it back with ``from_state()``.
 """
 
 from __future__ import annotations
@@ -75,27 +77,6 @@ def input_width(cfg: ModelConfig, vocab: Vocab) -> int:
     return cfg.embed_dim + cfg.pos_dim
 
 
-def init_lstm_params(params: ParamStore, n: int, s: int, rng: Rng) -> None:
-    """Combined-gate weights per direction: W is (4s x (n+s)) over the
-    concatenated [x_t; h_prev], gate order i, f, g, o. Forget biases start
-    at 1.0, everything else uniform(-0.08, 0.08) / zero."""
-    for direction in ("fwd", "bwd"):
-        w = rng.uniform(-INIT_SCALE, INIT_SCALE, (4 * s, n + s))
-        b = np.zeros((4 * s, 1))
-        b[s:2 * s] = 1.0
-        params.add(f"lstm_{direction}_W", Tensor(w))
-        params.add(f"lstm_{direction}_b", Tensor(b))
-
-
-def _sigmoid(a):
-    pos = a >= 0
-    z = np.empty_like(a)
-    z[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-    e = np.exp(a[~pos])
-    z[~pos] = e / (1.0 + e)
-    return z
-
-
 def lstm_sequence(X: Tensor, W: Tensor, b: Tensor, reverse: bool) -> Tensor:
     """Run one LSTM direction over X ((T, n) rows = timesteps) as a single
     fused tape node, returning hidden states as an (s, T) matrix.
@@ -118,10 +99,10 @@ def lstm_sequence(X: Tensor, W: Tensor, b: Tensor, reverse: bool) -> Tensor:
         for t in order:
             xh = np.vstack([X.data[t:t + 1].T, h])
             a = W.data @ xh + b.data
-            i = _sigmoid(a[0:s])
-            f = _sigmoid(a[s:2 * s])
+            i = T._sigmoid(a[0:s])
+            f = T._sigmoid(a[s:2 * s])
             g = np.tanh(a[2 * s:3 * s])
-            o = _sigmoid(a[3 * s:4 * s])
+            o = T._sigmoid(a[3 * s:4 * s])
             c_prev = c
             c = f * c_prev + i * g
             h = o * np.tanh(c)
@@ -197,19 +178,54 @@ def _activation(name: str):
 
 
 # ---------------------------------------------------------------------------
-# recurrent classifiers (WP and mean-pooling LSTM baseline)
+# checkpoint state: each variant writes and reads its own part of a checkpoint
 
 
-class RecurrentClassifier:
-    """Bi-LSTM encoder, pooled states, dense layer, softmax head.
+def _array_payload(arr: np.ndarray) -> dict:
+    return {"shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
 
-    pooling="attention" gives the weighted-pooling model; pooling="mean"
-    gives the LSTM baseline (uniform weights over time steps). Both run the
-    pooled vector through the exact same ops, so forcing uniform attention
-    reproduces the baseline bitwise.
-    """
 
-    pooling = "attention"
+def _array_from(payload, name: str) -> np.ndarray:
+    try:
+        return np.array(payload["data"], dtype=np.float64).reshape(payload["shape"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise UsageError(f"field {name!r}: not a shape/data array ({e})") from None
+
+
+def _field(doc, name: str):
+    """doc[a][b] for the dotted name "a.b"; a missing level is a UsageError."""
+    node = doc
+    for key in name.split("."):
+        try:
+            node = node[key]
+        except (KeyError, TypeError, IndexError):
+            raise UsageError(f"missing field {name!r}") from None
+    return node
+
+
+def _cfg_dict(cfg: ModelConfig) -> dict:
+    d = dict(vars(cfg))
+    d["cnn_widths"] = list(d["cnn_widths"])
+    return d
+
+
+def _config_from(doc) -> ModelConfig:
+    fields = _field(doc, "config")
+    try:
+        return ModelConfig(**fields)
+    except (TypeError, UsageError) as e:
+        raise UsageError(f"field 'config': {e}") from None
+
+
+# ---------------------------------------------------------------------------
+# neural models: parameters over a vocabulary and a frozen embedding table
+
+
+class NeuralModel:
+    """Base of the recurrent classifiers and the CNN. Subclasses name their
+    layers in ``_layer_shapes`` and define ``forward`` and ``predict_label``."""
+
+    variant = ""
 
     def __init__(self, cfg: ModelConfig, vocab: Vocab, embeddings: EmbeddingTable,
                  rng: Rng | None = None):
@@ -220,21 +236,91 @@ class RecurrentClassifier:
         if rng is not None:
             self.init_params(rng)
 
+    def param_shapes(self) -> dict:
+        """Shape of every parameter the config and vocabulary call for, in
+        the order init_params draws them; a learned POS embedding comes last."""
+        shapes = self._layer_shapes(input_width(self.cfg, self.vocab))
+        if self.cfg.pos_mode == "embed":
+            shapes["pos_embedding"] = (len(self.vocab.pos_tags), self.cfg.pos_dim)
+        return shapes
+
     def init_params(self, rng: Rng) -> None:
-        cfg = self.cfg
-        n = input_width(cfg, self.vocab)
-        s = cfg.hidden_size
-        init_lstm_params(self.params, n, s, rng)
-        self.params.add("dense_W", Tensor(rng.uniform(-INIT_SCALE, INIT_SCALE,
-                                                      (cfg.dense_units, 2 * s))))
-        self.params.add("dense_b", Tensor(np.zeros((cfg.dense_units, 1))))
-        self.params.add("out_W", Tensor(rng.uniform(-INIT_SCALE, INIT_SCALE,
-                                                    (2, cfg.dense_units))))
-        self.params.add("out_b", Tensor(np.zeros((2, 1))))
-        if cfg.pos_mode == "embed":
-            self.params.add("pos_embedding",
-                            Tensor(rng.uniform(-INIT_SCALE, INIT_SCALE,
-                                               (len(self.vocab.pos_tags), cfg.pos_dim))))
+        """Biases (``*_b``) start at zero, everything else uniform(-0.08, 0.08)."""
+        for name, shape in self.param_shapes().items():
+            value = np.zeros(shape) if name.endswith("_b") else \
+                rng.uniform(-INIT_SCALE, INIT_SCALE, shape)
+            self.params.add(name, Tensor(value))
+
+    def predict_proba(self, sample: Sample) -> np.ndarray:
+        y_hat, _ = self.forward(sample, mode="eval")
+        return y_hat.data.reshape(-1).copy()
+
+    def state(self) -> dict:
+        """Config, vocabulary, embedding matrix and every named parameter."""
+        return {
+            "config": _cfg_dict(self.cfg),
+            "vocab": {"tokens": self.vocab.tokens, "pos_tags": self.vocab.pos_tags},
+            "embeddings": _array_payload(self.embeddings.matrix),
+            "params": {name: dict(_array_payload(t.data),
+                                  trainable=self.params.is_trainable(name))
+                       for name, t in self.params.items()},
+        }
+
+    @classmethod
+    def from_state(cls, doc) -> "NeuralModel":
+        """Inverse of state(); parameter names and shapes must be exactly
+        those the stored config and vocabulary call for."""
+        cfg = _config_from(doc)
+        vocab = Vocab(tokens=_field(doc, "vocab.tokens"),
+                      pos_tags=_field(doc, "vocab.pos_tags"))
+        matrix = _array_from(_field(doc, "embeddings"), "embeddings")
+        if matrix.shape != (len(vocab.tokens), cfg.embed_dim):
+            raise UsageError(f"field 'embeddings': shape {matrix.shape} does not match "
+                             f"{len(vocab.tokens)} tokens x embed_dim {cfg.embed_dim}")
+        model = cls(cfg, vocab, EmbeddingTable(matrix=matrix, trainable=False))
+        for name, shape in model.param_shapes().items():
+            field = f"params.{name}"
+            value = _array_from(_field(doc, field), field)
+            if value.shape != shape:
+                raise UsageError(f"field {field!r}: shape {value.shape}, but the config "
+                                 f"and vocabulary call for {shape}")
+            model.params.add(name, Tensor(value), trainable=_field(doc, field + ".trainable"))
+        unknown = sorted(name for name in _field(doc, "params") if name not in model.params)
+        if unknown:
+            raise UsageError(f"field 'params.{unknown[0]}': not a {cls.variant} parameter")
+        return model
+
+
+# ---------------------------------------------------------------------------
+# recurrent classifiers (WP and mean-pooling LSTM baseline)
+
+
+class RecurrentClassifier(NeuralModel):
+    """Bi-LSTM encoder, pooled states, dense layer, softmax head.
+
+    pooling="attention" gives the weighted-pooling model; pooling="mean"
+    gives the LSTM baseline (uniform weights over time steps). Both run the
+    pooled vector through the exact same ops, so forcing uniform attention
+    reproduces the baseline bitwise.
+    """
+
+    pooling = "attention"
+
+    def _layer_shapes(self, n: int) -> dict:
+        s, d = self.cfg.hidden_size, self.cfg.dense_units
+        shapes = {}
+        for direction in ("fwd", "bwd"):
+            # combined-gate weights over [x_t ; h_prev], gate order i, f, g, o
+            shapes[f"lstm_{direction}_W"] = (4 * s, n + s)
+            shapes[f"lstm_{direction}_b"] = (4 * s, 1)
+        shapes.update(dense_W=(d, 2 * s), dense_b=(d, 1), out_W=(2, d), out_b=(2, 1))
+        return shapes
+
+    def init_params(self, rng: Rng) -> None:
+        super().init_params(rng)
+        s = self.cfg.hidden_size
+        for direction in ("fwd", "bwd"):
+            self.params[f"lstm_{direction}_b"].data[s:2 * s] = 1.0  # forget gates
 
     def forward(self, sample: Sample, mode: str = "eval", rng: Rng | None = None,
                 dropout_p: float = 0.5, alpha_override: np.ndarray | None = None,
@@ -280,62 +366,34 @@ class RecurrentClassifier:
         y_hat, _ = self.forward(sample, mode="eval")
         return int(np.argmax(y_hat.data.reshape(-1)))
 
-    def predict_proba(self, sample: Sample) -> np.ndarray:
-        y_hat, _ = self.forward(sample, mode="eval")
-        return y_hat.data.reshape(-1).copy()
-
 
 class WPModel(RecurrentClassifier):
-    pooling = "attention"
+    variant = "wp"
 
 
 class LstmBaselineModel(RecurrentClassifier):
+    variant = "lstm"
     pooling = "mean"
-
-
-def wp_forward(sample, model: WPModel, mode="eval", rng=None, dropout_p=0.5):
-    y_hat, trace = model.forward(sample, mode=mode, rng=rng, dropout_p=dropout_p,
-                                 return_trace=True)
-    return y_hat, trace
-
-
-def lstm_baseline_forward(sample, model: LstmBaselineModel, mode="eval", rng=None,
-                          dropout_p=0.5):
-    y_hat, _ = model.forward(sample, mode=mode, rng=rng, dropout_p=dropout_p)
-    return y_hat
 
 
 # ---------------------------------------------------------------------------
 # CNN baseline
 
 
-class CnnModel:
+class CnnModel(NeuralModel):
     """Parallel 1-D convolutions over the zero-padded input, relu,
     max-over-time pooling, dropout, affine + softmax."""
 
-    def __init__(self, cfg: ModelConfig, vocab: Vocab, embeddings: EmbeddingTable,
-                 rng: Rng | None = None):
-        self.cfg = cfg
-        self.vocab = vocab
-        self.embeddings = embeddings
-        self.params = ParamStore()
-        if rng is not None:
-            self.init_params(rng)
+    variant = "cnn"
 
-    def init_params(self, rng: Rng) -> None:
+    def _layer_shapes(self, n: int) -> dict:
         cfg = self.cfg
-        n = input_width(cfg, self.vocab)
+        shapes = {}
         for w in cfg.cnn_widths:
-            self.params.add(f"conv{w}_W",
-                            Tensor(rng.uniform(-INIT_SCALE, INIT_SCALE, (w * n, cfg.cnn_maps))))
-            self.params.add(f"conv{w}_b", Tensor(np.zeros((1, cfg.cnn_maps))))
-        total = cfg.cnn_maps * len(cfg.cnn_widths)
-        self.params.add("out_W", Tensor(rng.uniform(-INIT_SCALE, INIT_SCALE, (2, total))))
-        self.params.add("out_b", Tensor(np.zeros((2, 1))))
-        if cfg.pos_mode == "embed":
-            self.params.add("pos_embedding",
-                            Tensor(rng.uniform(-INIT_SCALE, INIT_SCALE,
-                                               (len(self.vocab.pos_tags), cfg.pos_dim))))
+            shapes[f"conv{w}_W"] = (w * n, cfg.cnn_maps)
+            shapes[f"conv{w}_b"] = (1, cfg.cnn_maps)
+        shapes.update(out_W=(2, cfg.cnn_maps * len(cfg.cnn_widths)), out_b=(2, 1))
+        return shapes
 
     def forward(self, sample: Sample, mode: str = "eval", rng: Rng | None = None,
                 dropout_p: float = 0.5):
@@ -373,15 +431,6 @@ class CnnModel:
         y_hat, _ = self.forward(sample, mode="eval")
         return int(np.argmax(y_hat.data.reshape(-1)))
 
-    def predict_proba(self, sample: Sample) -> np.ndarray:
-        y_hat, _ = self.forward(sample, mode="eval")
-        return y_hat.data.reshape(-1).copy()
-
-
-def cnn_forward(sample, model: CnnModel, mode="eval", rng=None, dropout_p=0.5):
-    y_hat, _ = model.forward(sample, mode=mode, rng=rng, dropout_p=dropout_p)
-    return y_hat
-
 
 # ---------------------------------------------------------------------------
 # logistic regression baseline
@@ -413,6 +462,8 @@ class LogRegModel:
     """Binary logistic regression over n-gram counts, trained by full-batch
     gradient descent on cross-entropy with an L2 penalty. Unseen n-grams at
     prediction time are ignored."""
+
+    variant = "logreg"
 
     def __init__(self, cfg: ModelConfig):
         self.cfg = cfg
@@ -471,9 +522,23 @@ class LogRegModel:
     def predict_label(self, sample: Sample) -> int:
         return int(self.predict_proba(sample)[1] >= 0.5)
 
+    def state(self) -> dict:
+        return {"config": _cfg_dict(self.cfg),
+                "features": sorted(self.feature_index, key=self.feature_index.get),
+                "weights": self.w.tolist(), "bias": self.b}
 
-def logreg_forward(sample, model: LogRegModel) -> np.ndarray:
-    return model.predict_proba(sample)
+    @classmethod
+    def from_state(cls, doc) -> "LogRegModel":
+        model = cls(_config_from(doc))
+        features = _field(doc, "features")
+        model.feature_index = {feat: i for i, feat in enumerate(features)}
+        weights = _field(doc, "weights")
+        if len(weights) != len(features):
+            raise UsageError(f"field 'weights': {len(weights)} weights for "
+                             f"{len(features)} features")
+        model.w = np.array(weights, dtype=np.float64)
+        model.b = float(_field(doc, "bias"))
+        return model
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +548,10 @@ def logreg_forward(sample, model: LogRegModel) -> np.ndarray:
 class MfcModel:
     """Constant predictor of the training-majority class; ties go to 1."""
 
-    def __init__(self):
+    variant = "mfc"
+
+    def __init__(self, cfg: ModelConfig | None = None):
+        self.cfg = cfg
         self.majority: int | None = None
 
     def fit(self, train) -> None:
@@ -503,6 +571,17 @@ class MfcModel:
         label = self.predict_label(sample)
         return np.array([1.0 - label, float(label)])
 
+    def state(self) -> dict:
+        return {"majority": self.majority}
+
+    @classmethod
+    def from_state(cls, doc) -> "MfcModel":
+        model = cls()
+        model.majority = _field(doc, "majority")
+        if model.majority not in (0, 1):
+            raise UsageError(f"field 'majority': expected 0 or 1, got {model.majority!r}")
+        return model
+
 
 def mfc_fit(train) -> MfcModel:
     model = MfcModel()
@@ -512,3 +591,7 @@ def mfc_fit(train) -> MfcModel:
 
 def mfc_predict(model: MfcModel, sample: Sample) -> int:
     return model.predict_label(sample)
+
+
+VARIANTS = {cls.variant: cls for cls in
+            (WPModel, LstmBaselineModel, CnnModel, LogRegModel, MfcModel)}

@@ -47,10 +47,6 @@ class Tensor:
         return f"Tensor(shape={self.data.shape})"
 
 
-def zeros(*shape) -> Tensor:
-    return Tensor(np.zeros(shape))
-
-
 class _Node:
     __slots__ = ("out", "inputs", "fwd", "vjp")
 
@@ -348,29 +344,6 @@ def add_n(tensors) -> Tensor:
 
     out = Tensor(fwd())
     return _record(out, tuple(tensors), fwd, lambda g: tuple(g for _ in tensors))
-
-
-_POINTWISE = {
-    "tanh": tanh,
-    "sigmoid": sigmoid,
-    "relu": relu,
-    "exp": exp,
-    "add": add,
-    "mul": mul,
-    "concat": concat,
-    "mean_axis": mean_axis,
-}
-
-
-def pointwise(op: str, *inputs, **kwargs) -> Tensor:
-    """Dispatch by op name; the named set covers what the models need."""
-    try:
-        fn = _POINTWISE[op]
-    except KeyError:
-        raise UsageError(f"unknown pointwise op {op!r}") from None
-    if op == "concat":
-        return fn(list(inputs), **kwargs)
-    return fn(*inputs, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -47,8 +47,6 @@ def test_parse_corpus_errors():
         parse_corpus("#doc d 1\na\tNN\t5\n\n")
     with pytest.raises(ParseError, match="empty token"):
         parse_corpus("#doc d 1\n\tNN\t-1\n")
-    with pytest.raises(UsageError):
-        parse_corpus("", fmt="conll")
 
 
 # ---------------------------------------------------------------------------

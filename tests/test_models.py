@@ -1,16 +1,20 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
 from oracles import fd_gradient, max_rel_err
 from presup import tensor as T
 from presup.checkpoint import load_checkpoint, save_checkpoint
-from presup.config import ModelConfig
+from presup.cli import main
+from presup.config import MODEL_VARIANTS, ModelConfig
 from presup.errors import UsageError
-from presup.extraction import MARKER, Sample
-from presup.models import (CnnModel, LogRegModel, LstmBaselineModel, MfcModel,
-                           WPModel, attention_weights, bilstm_forward,
-                           embed_sequence, input_width, lstm_sequence,
-                           logreg_featurize, mfc_fit, mfc_predict, param_count)
+from presup.extraction import MARKER, Sample, write_samples
+from presup.models import (VARIANTS, LogRegModel, MfcModel, attention_weights,
+                           bilstm_forward, embed_sequence, input_width,
+                           lstm_sequence, logreg_featurize, mfc_fit,
+                           mfc_predict, param_count)
 from presup.optim import ParamStore
 from presup.rng import Rng
 from presup.tensor import Tape, Tensor, backward
@@ -37,8 +41,7 @@ def _setup(variant="wp", seed=5, **cfg_kwargs):
     cfg = ModelConfig(**defaults)
     emb = EmbeddingTable(rng.child("emb").uniform(-0.5, 0.5,
                                                   (len(vocab.tokens), cfg.embed_dim)))
-    cls = {"wp": WPModel, "lstm": LstmBaselineModel, "cnn": CnnModel}[variant]
-    model = cls(cfg, vocab, emb, rng=rng.child("init"))
+    model = VARIANTS[variant](cfg, vocab, emb, rng=rng.child("init"))
     return samples, vocab, model
 
 
@@ -250,6 +253,11 @@ def test_cnn_forward_shape_and_gradients():
         assert max_rel_err(fd, grads.wrt(t)) < 1e-4, name
 
 
+def test_cnn_widths_must_be_distinct():
+    with pytest.raises(UsageError, match="distinct"):
+        ModelConfig(variant="cnn", cnn_widths=(3, 3))
+
+
 def test_cnn_rejects_overlong_input():
     samples, _, cnn = _setup("cnn", max_len=4)
     with pytest.raises(UsageError):
@@ -305,36 +313,42 @@ def _assert_same_predictions(a, b, samples):
         np.testing.assert_array_equal(a.predict_proba(s), b.predict_proba(s))
 
 
-def test_checkpoint_round_trip_neural(tmp_path):
-    for variant in ("wp", "lstm", "cnn"):
+def _fitted(variant):
+    """A small model of the variant and samples to predict with."""
+    if not hasattr(VARIANTS[variant], "fit"):  # neural: built with random weights
         kwargs = {"cnn_widths": (2, 3), "cnn_maps": 4, "max_len": 10} \
             if variant == "cnn" else {}
         samples, _, model = _setup(variant, **kwargs)
-        path = tmp_path / f"{variant}.json"
-        save_checkpoint(path, model, dataset_id="all",
-                        extra={"best_epoch": 3})
-        loaded, dataset_id = load_checkpoint(path)
-        assert dataset_id == "all"
-        assert type(loaded) is type(model)
-        _assert_same_predictions(model, loaded, samples)
-        # frozen embeddings stay frozen through the round trip
-        assert loaded.params.param_count() == model.params.param_count()
-
-
-def test_checkpoint_round_trip_logreg_and_mfc(tmp_path):
+        return model, samples
     pos = [Sample("again", ["cue", MARKER, "verb"], ["N", MARKER, "V"], "0")] * 5
     neg = [Sample("none", ["other", MARKER, "verb"], ["N", MARKER, "V"], "0")] * 5
-    logreg = LogRegModel(ModelConfig(variant="logreg"))
-    logreg.fit(pos + neg)
-    save_checkpoint(tmp_path / "lr.json", logreg, dataset_id="again")
-    loaded, dataset_id = load_checkpoint(tmp_path / "lr.json")
-    assert dataset_id == "again"
-    _assert_same_predictions(logreg, loaded, pos + neg)
+    model = VARIANTS[variant](ModelConfig(variant=variant))
+    model.fit(pos + neg)
+    return model, pos + neg
 
-    mfc = mfc_fit(pos + neg)
-    save_checkpoint(tmp_path / "mfc.json", mfc)
-    loaded_mfc, _ = load_checkpoint(tmp_path / "mfc.json")
-    assert loaded_mfc.majority == mfc.majority
+
+def test_variant_registry_matches_config():
+    assert set(VARIANTS) == set(MODEL_VARIANTS)
+    for name, cls in VARIANTS.items():
+        assert cls.variant == name
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_checkpoint_round_trip(variant, tmp_path):
+    model, samples = _fitted(variant)
+    path = tmp_path / "a.json"
+    save_checkpoint(path, model, dataset_id="all", extra={"best_epoch": 3})
+    loaded, dataset_id = load_checkpoint(path)
+    assert dataset_id == "all"
+    assert type(loaded) is type(model)
+    _assert_same_predictions(model, loaded, samples)
+    if hasattr(model, "params"):
+        # frozen embeddings stay frozen through the round trip
+        assert param_count(loaded.params) == param_count(model.params)
+    if variant == "mfc":
+        assert loaded.majority == model.majority
+    save_checkpoint(tmp_path / "b.json", loaded, dataset_id="all", extra={"best_epoch": 3})
+    assert (tmp_path / "b.json").read_bytes() == path.read_bytes()
 
 
 def test_checkpoint_bytes_are_deterministic(tmp_path):
@@ -349,6 +363,81 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
     p.write_text('{"format": "something-else"}')
     with pytest.raises(UsageError):
         load_checkpoint(p)
+    p.write_text('{"format": "presup-checkpoint-v1", "variant": []}')
+    with pytest.raises(UsageError, match="unknown variant"):
+        load_checkpoint(p)
+
+
+def _eval_malformed(tmp_path, capsys, variant, corrupt):
+    """Save a small checkpoint, corrupt its text, run ``presup eval`` on it;
+    returns the exit code, the error output and the checkpoint path."""
+    model, samples = _fitted(variant)
+    path = tmp_path / f"{variant}.json"
+    save_checkpoint(path, model, dataset_id="all")
+    path.write_text(corrupt(path.read_text()))
+    data = tmp_path / "test.jsonl"
+    write_samples(data, samples)
+    rc = main(["eval", "--checkpoint", str(path), "--data", str(data),
+               "--out", str(tmp_path / "out")])
+    return rc, capsys.readouterr().err, str(path)
+
+
+def _edit(mutate):
+    def corrupt(text):
+        doc = json.loads(text)
+        mutate(doc)
+        return json.dumps(doc)
+    return corrupt
+
+
+def test_checkpoint_missing_parameter_is_usage_error(tmp_path, capsys):
+    rc, err, path = _eval_malformed(tmp_path, capsys, "wp",
+                                    _edit(lambda d: d["params"].pop("out_b")))
+    assert rc == 2
+    assert path in err and "params.out_b" in err
+
+
+def test_checkpoint_misshaped_parameter_is_usage_error(tmp_path, capsys):
+    def shrink(doc):
+        doc["params"]["out_W"]["shape"] = [2, 4]
+        doc["params"]["out_W"]["data"] = doc["params"]["out_W"]["data"][:8]
+    rc, err, path = _eval_malformed(tmp_path, capsys, "wp", _edit(shrink))
+    assert rc == 2
+    assert path in err and "params.out_W" in err
+
+
+def test_checkpoint_truncated_file_is_usage_error(tmp_path, capsys):
+    rc, err, path = _eval_malformed(tmp_path, capsys, "lstm",
+                                    lambda text: text[:len(text) // 2])
+    assert rc == 2
+    assert path in err and "not valid JSON" in err
+
+
+def test_checkpoint_logreg_weight_count_is_usage_error(tmp_path, capsys):
+    rc, err, path = _eval_malformed(tmp_path, capsys, "logreg",
+                                    _edit(lambda d: d.update(weights=d["weights"][3:])))
+    assert rc == 2
+    assert path in err and "weights" in err
+
+
+@pytest.mark.parametrize("variant,mutate,field", [
+    ("wp", lambda d: d["params"].update(extra_W=d["params"]["out_b"]), "params.extra_W"),
+    ("lstm", lambda d: d["params"]["dense_b"].pop("data"), "params.dense_b"),
+    ("cnn", lambda d: d["embeddings"].update(shape=[d["embeddings"]["shape"][0], 2],
+                                             data=[0.0] * 2 * d["embeddings"]["shape"][0]),
+     "embeddings"),
+    ("logreg", lambda d: d["config"].update(variant="svm"), "config"),
+    ("mfc", lambda d: d.update(majority=None), "majority"),
+])
+def test_checkpoint_fields_are_validated(variant, mutate, field, tmp_path):
+    model, _ = _fitted(variant)
+    path = tmp_path / "c.json"
+    save_checkpoint(path, model)
+    doc = json.loads(path.read_text())
+    mutate(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(UsageError, match=f"{re.escape(str(path))}: .*'{field}'"):
+        load_checkpoint(path)
 
 
 def test_param_store_rejects_unknown_names():

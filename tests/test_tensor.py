@@ -234,16 +234,6 @@ def test_shape_errors():
         Tensor(np.zeros((2, 2))).item()
 
 
-def test_pointwise_dispatch(rng):
-    x = _rand(rng, 2, 2)
-    np.testing.assert_array_equal(T.pointwise("tanh", x).data, np.tanh(x.data))
-    np.testing.assert_array_equal(T.pointwise("add", x, x).data, 2 * x.data)
-    cat = T.pointwise("concat", x, x, axis=1)
-    assert cat.shape == (2, 4)
-    with pytest.raises(UsageError):
-        T.pointwise("convolve", x)
-
-
 def test_replay_detects_mutation(rng):
     x = _rand(rng, 2, 2)
     with Tape() as tape:
