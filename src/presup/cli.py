@@ -79,7 +79,10 @@ def _load_split(cfg: RunConfig, out: Path, split: str):
     path = dataset_dir / cfg.train.dataset / f"{split}.jsonl"
     if not path.exists():
         raise UsageError(f"dataset split not found: {path}")
-    return read_samples(path)
+    samples = read_samples(path)
+    if not samples:
+        raise UsageError(f"dataset split is empty: {path}")
+    return samples
 
 
 def cmd_train(args) -> int:

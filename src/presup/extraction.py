@@ -239,9 +239,10 @@ def truncate_sample(sample: Sample, max_len: int = 60) -> Sample:
     return Sample(label=sample.label, tokens=tokens, pos=pos, section=sample.section)
 
 
-def _window(doc: Document, sent_index: int, pivot_index: int,
+def _window(flat, sent_index: int, pivot_index: int,
             cfg: ExtractionConfig, drop_global: int | None = None):
-    tokens, pos, bounds = doc.flat()
+    """Backward window around a pivot token, given a document's flat()."""
+    tokens, pos, bounds = flat
     sent_start, sent_end = bounds[sent_index]
     g = sent_start + pivot_index
     start = max(0, g - cfg.window_before)
@@ -252,15 +253,16 @@ def _window(doc: Document, sent_index: int, pivot_index: int,
     return out_tokens, out_pos
 
 
-def extract_positive(doc: Document, occ: Occurrence, cfg: ExtractionConfig) -> Sample | None:
-    """Window around the governor with the triggering adverb deleted.
+def extract_positive(doc: Document, flat, occ: Occurrence,
+                     cfg: ExtractionConfig) -> Sample | None:
+    """Window around the governor with the triggering adverb deleted; flat
+    is doc.flat(), built once per document by the caller.
 
     Returns None when another target adverb survives in the window (such a
     sample would leak the label); callers count these."""
-    _, _, bounds = doc.flat()
-    sent_start, _ = bounds[occ.sent_index]
+    sent_start, _ = flat[2][occ.sent_index]
     drop = sent_start + occ.adverb_index
-    tokens, pos = _window(doc, occ.sent_index, occ.governor_index, cfg, drop_global=drop)
+    tokens, pos = _window(flat, occ.sent_index, occ.governor_index, cfg, drop_global=drop)
     targets = set(cfg.adverbs)
     if any(t.lower() in targets for t in tokens):
         return None
@@ -294,6 +296,7 @@ def extract_negatives(docs: list, occurrences: list, cfg: ExtractionConfig,
         if n_sent == 0:
             continue
         offset = rng.integers(0, n_sent)
+        flat = None  # built at the first window, once per document
         for k in range(n_sent):
             if remaining == 0:
                 break
@@ -305,7 +308,9 @@ def extract_negatives(docs: list, occurrences: list, cfg: ExtractionConfig,
                 queue = demand.get(token)
                 if not queue:
                     continue
-                tokens, pos = _window(doc, sent_index, i, cfg)
+                if flat is None:
+                    flat = doc.flat()
+                tokens, pos = _window(flat, sent_index, i, cfg)
                 if cfg.strict_negative_window and any(t.lower() in targets for t in tokens):
                     continue
                 sample = truncate_sample(
@@ -324,19 +329,28 @@ def extract_negatives(docs: list, occurrences: list, cfg: ExtractionConfig,
     return results
 
 
+def _marker_problem(tokens, pos) -> str | None:
+    """What is wrong with a sample's token and POS streams regardless of
+    config (lengths, the one aligned marker, its governor), or None."""
+    if len(tokens) != len(pos):
+        return "tokens and pos lengths differ"
+    if tokens.count(MARKER) != 1:
+        return "sample must contain exactly one marker token"
+    at = tokens.index(MARKER)
+    if pos[at] != MARKER or pos.count(MARKER) != 1:
+        return "POS marker misaligned with token marker"
+    if at + 1 >= len(tokens):
+        return "marker has no following governor token"
+    return None
+
+
 def validate_sample(sample: Sample, cfg: ExtractionConfig) -> None:
     """Raise UsageError unless the sample satisfies its type invariants."""
-    if len(sample.tokens) != len(sample.pos):
-        raise UsageError("tokens and pos lengths differ")
+    problem = _marker_problem(sample.tokens, sample.pos)
+    if problem:
+        raise UsageError(problem)
     if len(sample.tokens) > cfg.max_len:
         raise UsageError(f"sample longer than {cfg.max_len} tokens")
-    if sample.tokens.count(MARKER) != 1:
-        raise UsageError("sample must contain exactly one marker token")
-    at = sample.tokens.index(MARKER)
-    if sample.pos[at] != MARKER or sample.pos.count(MARKER) != 1:
-        raise UsageError("POS marker misaligned with token marker")
-    if at + 1 >= len(sample.tokens):
-        raise UsageError("marker has no following governor token")
     if sample.label != "none":
         targets = set(cfg.adverbs)
         if any(t.lower() in targets for t in sample.tokens):
@@ -417,8 +431,9 @@ def read_samples(path) -> list:
             for key in ("label", "tokens", "pos", "section"):
                 if key not in record:
                     raise ParseError(f"missing field {key!r}", line=lineno)
-            if len(record["tokens"]) != len(record["pos"]):
-                raise ParseError("tokens and pos lengths differ", line=lineno)
+            problem = _marker_problem(record["tokens"], record["pos"])
+            if problem:
+                raise ParseError(problem, line=lineno)
             samples.append(Sample(label=record["label"], tokens=record["tokens"],
                                   pos=record["pos"], section=record["section"]))
     return samples
@@ -440,11 +455,13 @@ def run_extraction(docs: list, cfg: ExtractionConfig, rng: Rng):
 
     kept: list[tuple[Occurrence, Sample]] = []
     for doc in docs:
-        for occ in find_occurrences(doc, cfg, stats):
+        occurrences = find_occurrences(doc, cfg, stats)
+        flat = doc.flat() if occurrences else None
+        for occ in occurrences:
             if not filter_too(occ):
                 stats.for_adverb(occ.adverb).filtered_too += 1
                 continue
-            sample = extract_positive(doc, occ, cfg)
+            sample = extract_positive(doc, flat, occ, cfg)
             if sample is None:
                 stats.for_adverb(occ.adverb).skipped_residual_adverb += 1
                 continue

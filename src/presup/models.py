@@ -16,7 +16,7 @@ import scipy.sparse
 
 from . import tensor as T
 from .config import ModelConfig
-from .errors import UsageError
+from .errors import ShapeError, UsageError
 from .extraction import MARKER, Sample
 from .optim import ParamStore
 from .rng import Rng, dropout_mask
@@ -139,6 +139,32 @@ def lstm_sequence(X: Tensor, W: Tensor, b: Tensor, reverse: bool) -> Tensor:
         return d_X, d_W, d_b
 
     return T._record(out, (X, W, b), lambda: fwd_full()[0], vjp)
+
+
+def conv_rows(X: Tensor, W: Tensor, width: int) -> Tensor:
+    """1-D convolution of the rows of X ((L, n)) with W ((width*n, maps)) as
+    one fused tape node: out = sum_j X[j : j+m] @ W[j*n : (j+1)*n] for
+    m = L - width + 1, summed in ascending j over views of X and W."""
+    steps, n = X.shape
+    m = steps - width + 1
+    if W.shape[0] != width * n or m < 1:
+        raise ShapeError(f"conv_rows: width {width} over {X.shape} with W {W.shape}")
+
+    def fwd():
+        acc = X.data[0:m] @ W.data[0:n]
+        for j in range(1, width):
+            acc += X.data[j:j + m] @ W.data[j * n:(j + 1) * n]
+        return acc
+
+    def vjp(g):
+        d_X = np.zeros_like(X.data)
+        d_W = np.empty_like(W.data)
+        for j in range(width - 1, -1, -1):
+            d_X[j:j + m] += g @ W.data[j * n:(j + 1) * n].T
+            d_W[j * n:(j + 1) * n] = X.data[j:j + m].T @ g
+        return d_X, d_W
+
+    return T._record(Tensor(fwd()), (X, W), fwd, vjp)
 
 
 def bilstm_forward(X: Tensor, params: ParamStore, s: int) -> Tensor:
@@ -405,18 +431,10 @@ class CnnModel(NeuralModel):
             raise UsageError(f"sample longer than max_len={cfg.max_len}")
         if steps < cfg.max_len:
             X = T.concat([X, Tensor(np.zeros((cfg.max_len - steps, n)))], axis=0)
-        L = cfg.max_len
         pooled = []
         for w in cfg.cnn_widths:
-            W = self.params[f"conv{w}_W"]
-            # convolution as a sum of shifted matmuls: offset j contributes
-            # X[j : L-w+1+j] @ W[j*n : (j+1)*n]
-            contributions = [
-                T.matmul(T.slice_rows(X, j, L - w + 1 + j),
-                         T.slice_rows(W, j * n, (j + 1) * n))
-                for j in range(w)
-            ]
-            A = T.relu(T.add(T.add_n(contributions), self.params[f"conv{w}_b"]))
+            A = T.relu(T.add(conv_rows(X, self.params[f"conv{w}_W"], w),
+                             self.params[f"conv{w}_b"]))
             pooled.append(T.max_axis(A, "cols"))
         feat = T.transpose(T.concat(pooled, axis=1))
         if mode == "train" and dropout_p > 0.0:

@@ -40,9 +40,6 @@ class Tensor:
             raise UsageError(f"item() on tensor of shape {self.data.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def copy(self):
-        return Tensor(self.data.copy())
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"
 
@@ -130,15 +127,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = _binary(a, b, np.subtract, "sub")
-    return _record(
-        out, (a, b),
-        lambda: a.data - b.data,
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)),
-    )
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = _binary(a, b, np.multiply, "mul")
     return _record(
@@ -146,17 +134,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         lambda: a.data * b.data,
         lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)),
     )
-
-
-def neg(x: Tensor) -> Tensor:
-    out = Tensor(-x.data)
-    return _record(out, (x,), lambda: -x.data, lambda g: (-g,))
-
-
-def mul_scalar(x: Tensor, c: float) -> Tensor:
-    c = float(c)
-    out = Tensor(x.data * c)
-    return _record(out, (x,), lambda: x.data * c, lambda g: (g * c,))
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -178,40 +155,12 @@ def _sigmoid(a):
     return z
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    out = Tensor(_sigmoid(x.data))
-    return _record(
-        out, (x,),
-        lambda: _sigmoid(x.data),
-        lambda g: (g * out.data * (1.0 - out.data),),
-    )
-
-
 def relu(x: Tensor) -> Tensor:
     out = Tensor(np.maximum(x.data, 0.0))
     return _record(
         out, (x,),
         lambda: np.maximum(x.data, 0.0),
         lambda g: (g * (x.data > 0.0),),
-    )
-
-
-def exp(x: Tensor) -> Tensor:
-    out = Tensor(np.exp(x.data))
-    return _record(out, (x,), lambda: np.exp(x.data), lambda g: (g * out.data,))
-
-
-def log(x: Tensor) -> Tensor:
-    out = Tensor(np.log(x.data))
-    return _record(out, (x,), lambda: np.log(x.data), lambda g: (g / x.data,))
-
-
-def clamp_min(x: Tensor, floor: float) -> Tensor:
-    out = Tensor(np.maximum(x.data, floor))
-    return _record(
-        out, (x,),
-        lambda: np.maximum(x.data, floor),
-        lambda g: (g * (x.data > floor),),
     )
 
 
@@ -281,19 +230,6 @@ def transpose(x: Tensor) -> Tensor:
     return _record(out, (x,), lambda: x.data.T.copy(), lambda g: (g.T,))
 
 
-def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
-    if not (0 <= start <= stop <= x.shape[0]):
-        raise ShapeError(f"slice_rows: [{start}:{stop}] out of range for {x.shape}")
-    out = Tensor(x.data[start:stop].copy())
-
-    def vjp(g):
-        z = np.zeros_like(x.data)
-        z[start:stop] = g
-        return (z,)
-
-    return _record(out, (x,), lambda: x.data[start:stop].copy(), vjp)
-
-
 def gather_rows(table: Tensor, indices) -> Tensor:
     idx = np.asarray(indices, dtype=np.intp)
     out = Tensor(table.data[idx])
@@ -324,26 +260,6 @@ def softmax_axis(x: Tensor, axis: str) -> Tensor:
         return (s * (g - dot),)
 
     return _record(out, (x,), fwd, vjp)
-
-
-def add_n(tensors) -> Tensor:
-    """Sum of same-shaped tensors as one tape node."""
-    tensors = list(tensors)
-    if not tensors:
-        raise UsageError("add_n of zero tensors")
-    shape = tensors[0].shape
-    for t in tensors[1:]:
-        if t.shape != shape:
-            raise ShapeError(f"add_n: mixed shapes {[t.shape for t in tensors]}")
-
-    def fwd():
-        acc = tensors[0].data.copy()
-        for t in tensors[1:]:
-            acc += t.data
-        return acc
-
-    out = Tensor(fwd())
-    return _record(out, tuple(tensors), fwd, lambda g: tuple(g for _ in tensors))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ import logging
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import tensor as T
 from .config import TrainConfig
 from .errors import TrainingError, UsageError
@@ -60,27 +62,47 @@ def sample_target(sample) -> int:
 
 
 def batch_loss(y_hats, labels) -> Tensor:
-    """Mean negative log-likelihood of the true labels over the batch.
+    """Mean negative log-likelihood of the true labels over the batch, as
+    one tape node.
 
     Each y_hat is a (2, 1) probability column. Probabilities below 1e-12
-    are clamped before the log (and logged as a warning).
+    are clamped before the log (and logged as a warning); a clamped entry
+    gets zero gradient.
     """
     if len(y_hats) != len(labels):
         raise UsageError(f"batch size mismatch: {len(y_hats)} vs {len(labels)}")
     if not y_hats:
         raise UsageError("batch_loss on an empty batch")
-    clamped = 0
-    losses = []
-    for y_hat, y in zip(y_hats, labels):
+    for y in labels:
         if y not in (0, 1):
             raise UsageError(f"label must be 0 or 1, got {y!r}")
-        p = T.slice_rows(y_hat, y, y + 1)
-        if p.data.item() < LOG_FLOOR:
-            clamped += 1
-        losses.append(T.neg(T.log(T.clamp_min(p, LOG_FLOOR))))
+    scale = 1.0 / len(labels)
+
+    def picked():
+        return np.array([y_hat.data[y, 0] for y_hat, y in zip(y_hats, labels)])
+
+    def fwd():
+        nll = -np.log(np.maximum(picked(), LOG_FLOOR))
+        total = nll[0]
+        for value in nll[1:]:  # left to right, not pairwise
+            total += value
+        return np.array([[total * scale]])
+
+    clamped = int(np.sum(picked() < LOG_FLOOR))
     if clamped:
         logger.warning("batch_loss: %d probabilities clamped to %g", clamped, LOG_FLOOR)
-    return T.mul_scalar(T.add_n(losses), 1.0 / len(losses))
+
+    def vjp(g):
+        p = picked()
+        d_p = -(g[0, 0] * scale) / np.maximum(p, LOG_FLOOR) * (p > LOG_FLOOR)
+        grads = []
+        for y_hat, y, d in zip(y_hats, labels, d_p):
+            d_y_hat = np.zeros_like(y_hat.data)
+            d_y_hat[y, 0] = d
+            grads.append(d_y_hat)
+        return tuple(grads)
+
+    return T._record(Tensor(fwd()), tuple(y_hats), fwd, vjp)
 
 
 def evaluate(model, data, model_id: str = "", dataset_id: str = "") -> EvalReport:

@@ -1,13 +1,10 @@
-import sys
 from pathlib import Path
 
 import pytest
 
-TESTS_DIR = Path(__file__).parent
-if str(TESTS_DIR) not in sys.path:
-    sys.path.insert(0, str(TESTS_DIR))
+from presup.extraction import parse_corpus
 
-from presup.extraction import parse_corpus  # noqa: E402
+TESTS_DIR = Path(__file__).parent
 
 
 @pytest.fixture(scope="session")

@@ -178,3 +178,32 @@ def test_unknown_config_key_is_usage_error(tmp_path, corpus_path):
                                "surprise": 1}))
     assert main(["extract", "--config", str(cfg),
                  "--out", str(tmp_path / "o")]) == 2
+
+
+def test_train_rejects_empty_split_before_writing(tmp_path, corpus_path, capsys):
+    cfg, out = _extract(tmp_path, corpus_path)
+    assert (out / "datasets" / "again" / "dev.jsonl").read_text() == ""
+    assert _train(cfg, out, 'model.variant="logreg"', 'train.dataset="again"') == 2
+    assert "again/dev.jsonl" in capsys.readouterr().err
+    assert not (out / "checkpoints").exists()
+
+
+def test_eval_rejects_malformed_sample_with_line_number(extracted, capsys):
+    cfg, out = extracted
+    assert _train(cfg, out, 'model.variant="mfc"') == 0
+    ckpt = out / "checkpoints" / "mfc_all.json"
+    good = {"label": "again", "tokens": ["a", "@@@@", "b"],
+            "pos": ["x", "@@@@", "y"], "section": "2"}
+    bad = {
+        "no marker": dict(good, tokens=["a", "c", "b"], pos=["x", "z", "y"]),
+        "misaligned": dict(good, pos=["@@@@", "x", "y"]),
+        "no governor": dict(good, tokens=["a", "b", "@@@@"], pos=["x", "y", "@@@@"]),
+    }
+    for name, record in bad.items():
+        data = out / f"{name.replace(' ', '_')}.jsonl"
+        data.write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n")
+        capsys.readouterr()
+        rc = main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                   "--out", str(out)])
+        assert rc == 1, name
+        assert "line 2:" in capsys.readouterr().err, name

@@ -92,7 +92,7 @@ def test_filter_too(corpus_docs):
 def test_positive_deletes_adverb_and_marks_governor(corpus_docs):
     doc = _doc(corpus_docs, "d01")
     occ = find_occurrences(doc, CFG)[0]
-    sample = extract_positive(doc, occ, CFG)
+    sample = extract_positive(doc, doc.flat(), occ, CFG)
     assert sample.label == "again"
     assert sample.tokens == ["We", "will", MARKER, "go", "to", "the", "park",
                              "tomorrow", "."]
@@ -106,14 +106,14 @@ def test_positive_with_residual_trigger_is_skipped(corpus_docs):
     # leaves the other adverb in its window
     for occ in find_occurrences(doc, CFG):
         if occ.sent_index == 1:
-            assert extract_positive(doc, occ, CFG) is None
+            assert extract_positive(doc, doc.flat(), occ, CFG) is None
 
 
 def test_window_crosses_sentences_and_truncates_to_max_len(corpus_docs):
     doc = _doc(corpus_docs, "d10")
     occ = find_occurrences(doc, CFG)[0]
     assert occ.adverb == "still"
-    sample = extract_positive(doc, occ, CFG)
+    sample = extract_positive(doc, doc.flat(), occ, CFG)
     assert len(sample.tokens) == 60
     # 50-token backward window reaches f15; truncation then drops the two
     # oldest tokens, so the surviving context starts at f17

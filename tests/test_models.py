@@ -9,10 +9,10 @@ from presup import tensor as T
 from presup.checkpoint import load_checkpoint, save_checkpoint
 from presup.cli import main
 from presup.config import MODEL_VARIANTS, ModelConfig
-from presup.errors import UsageError
+from presup.errors import ShapeError, UsageError
 from presup.extraction import MARKER, Sample, write_samples
 from presup.models import (VARIANTS, LogRegModel, MfcModel, attention_weights,
-                           bilstm_forward, embed_sequence, input_width,
+                           bilstm_forward, conv_rows, embed_sequence, input_width,
                            lstm_sequence, logreg_featurize, mfc_fit,
                            mfc_predict, param_count)
 from presup.optim import ParamStore
@@ -104,6 +104,50 @@ def test_lstm_sequence_gradients():
     for t in (X, W, b):
         fd = fd_gradient(lambda: loss()[1].item(), t.data)
         assert max_rel_err(fd, grads.wrt(t)) < 1e-6
+
+
+def test_conv_rows_matches_reference_bitwise():
+    rng = Rng(21)
+    steps, n, maps = 9, 4, 3
+    X = Tensor(rng.uniform(-1, 1, (steps, n)))
+    for width in (1, 3, 5):
+        W = Tensor(rng.uniform(-0.5, 0.5, (width * n, maps)))
+        m = steps - width + 1
+        expected = X.data[0:m].copy() @ W.data[0:n].copy()
+        for j in range(1, width):
+            expected = expected + X.data[j:j + m].copy() @ W.data[j * n:(j + 1) * n].copy()
+        out = conv_rows(X, W, width)
+        assert out.shape == (m, maps)
+        np.testing.assert_array_equal(out.data, expected)
+
+
+def test_conv_rows_gradients():
+    rng = Rng(22)
+    steps, n, maps, width = 7, 3, 4, 3
+    X = Tensor(rng.uniform(-1, 1, (steps, n)))
+    W = Tensor(rng.uniform(-0.5, 0.5, (width * n, maps)))
+    proj = Tensor(rng.uniform(-1, 1, (maps, 2)))
+
+    def loss():
+        with Tape() as tape:
+            out = T.mean_axis(T.mean_axis(T.matmul(conv_rows(X, W, width), proj),
+                                          "rows"), "cols")
+        return tape, out
+
+    tape, out = loss()
+    grads = backward(tape, out)
+    assert tape.replay()
+    for t in (X, W):
+        fd = fd_gradient(lambda: loss()[1].item(), t.data)
+        assert max_rel_err(fd, grads.wrt(t)) < 1e-6
+
+
+def test_conv_rows_shape_errors():
+    X = Tensor(np.zeros((4, 3)))
+    with pytest.raises(ShapeError):
+        conv_rows(X, Tensor(np.zeros((8, 2))), 3)  # W rows != width * n
+    with pytest.raises(ShapeError):
+        conv_rows(X, Tensor(np.zeros((15, 2))), 5)  # wider than the input
 
 
 def test_bilstm_shape_and_init():
@@ -251,6 +295,17 @@ def test_cnn_forward_shape_and_gradients():
     for name, t in cnn.params.trainable_items():
         fd = fd_gradient(lambda: loss()[1].item(), t.data)
         assert max_rel_err(fd, grads.wrt(t)) < 1e-4, name
+
+
+@pytest.mark.parametrize("variant, per_sample", [("wp", 18), ("lstm", 11), ("cnn", 19)])
+def test_training_step_tape_nodes(variant, per_sample):
+    samples, _, model = _setup(variant)
+    batch = samples + samples[:1]  # shorter than max_len: the CNN pads each
+    rng = Rng(4)
+    with Tape() as tape:
+        y_hats = [model.forward(s, mode="train", rng=rng)[0] for s in batch]
+        batch_loss(y_hats, [sample_target(s) for s in batch])
+    assert len(tape) == per_sample * len(batch) + 1
 
 
 def test_cnn_widths_must_be_distinct():

@@ -60,7 +60,7 @@ def test_matmul_gradients(rng):
 
 
 def test_add_sub_mul_gradients(rng):
-    for op in (T.add, T.sub, T.mul):
+    for op in (T.add, T.mul):
         check_binary(op, _rand(rng, 3, 4), _rand(rng, 3, 4))
 
 
@@ -68,30 +68,19 @@ def test_broadcast_gradients(rng):
     # column and row broadcasting both reduce correctly on the way back
     check_binary(T.add, _rand(rng, 3, 4), _rand(rng, 3, 1))
     check_binary(T.mul, _rand(rng, 3, 4), _rand(rng, 1, 4))
-    check_binary(T.sub, _rand(rng, 3, 1), _rand(rng, 3, 4))
+    check_binary(T.mul, _rand(rng, 3, 1), _rand(rng, 3, 4))
 
 
 def test_unary_gradients(rng):
-    check_unary(T.neg, _rand(rng, 3, 2))
     check_unary(T.tanh, _rand(rng, 3, 2))
-    check_unary(T.sigmoid, _rand(rng, 3, 2))
-    check_unary(T.exp, _rand(rng, 3, 2))
-    check_unary(lambda x: T.mul_scalar(x, -2.5), _rand(rng, 3, 2))
     check_unary(T.transpose, _rand(rng, 3, 2))
 
 
-def test_log_gradient(rng):
-    check_unary(T.log, Tensor(rng.uniform(0.2, 3.0, (3, 2))))
-
-
-def test_relu_clamp_gradients(rng):
+def test_relu_gradient(rng):
     # keep probe points away from the kink, where FD is one-sided
     x = Tensor(rng.uniform(-1.5, 1.5, (4, 3)))
     x.data[np.abs(x.data) < 1e-3] = 0.5
     check_unary(T.relu, x)
-    y = Tensor(rng.uniform(-1.5, 1.5, (4, 3)))
-    y.data[np.abs(y.data - 0.1) < 1e-3] = 0.7
-    check_unary(lambda t: T.clamp_min(t, 0.1), y)
 
 
 def test_concat_gradients(rng):
@@ -126,8 +115,7 @@ def test_max_axis_gradient_routes_to_argmax(rng):
     assert max_rel_err(fd, g) < TOL
 
 
-def test_slice_and_gather_gradients(rng):
-    check_unary(lambda t: T.slice_rows(t, 1, 3), _rand(rng, 5, 2))
+def test_gather_gradients(rng):
     # repeated indices must accumulate
     check_unary(lambda t: T.gather_rows(t, [0, 2, 2, 1]), _rand(rng, 4, 3))
 
@@ -147,22 +135,9 @@ def test_softmax_and_sigmoid_are_overflow_safe():
     s = T.softmax_axis(big, "rows").data
     assert np.all(np.isfinite(s))
     np.testing.assert_allclose(s.sum(axis=1), 1.0)
-    assert np.all(np.isfinite(T.sigmoid(big).data))
-
-
-def test_add_n_gradient(rng):
-    xs = [_rand(rng, 2, 3) for _ in range(4)]
-
-    def loss():
-        with Tape() as tape:
-            out = _scalarize(T.add_n(xs))
-        return tape, out
-
-    tape, out = loss()
-    grads = backward(tape, out)
-    for x in xs:
-        fd = fd_gradient(lambda: loss()[1].item(), x.data)
-        assert max_rel_err(fd, grads.wrt(x)) < TOL
+    sig = T._sigmoid(big.data)
+    assert np.all(np.isfinite(sig))
+    np.testing.assert_array_equal(sig, [[1.0, 0.0], [0.5, 1.0]])
 
 
 def test_gradient_accumulates_over_reuse(rng):
@@ -170,7 +145,7 @@ def test_gradient_accumulates_over_reuse(rng):
     x = _rand(rng, 3, 2)
     with Tape() as tape:
         out = T.add(T.mul(x, x), x)
-        total = T.mul_scalar(T.mean_axis(T.mean_axis(out, "rows"), "cols"), x.size)
+        total = T.mul(T.mean_axis(T.mean_axis(out, "rows"), "cols"), Tensor([[x.size]]))
     g = backward(tape, total).wrt(x)
     np.testing.assert_allclose(g, 2.0 * x.data + 1.0, atol=1e-12)
 
@@ -191,8 +166,8 @@ def test_nested_tapes_record_to_innermost(rng):
     with Tape() as outer:
         T.tanh(x)
         with Tape() as inner:
-            T.exp(x)
-        T.neg(x)
+            T.relu(x)
+        T.transpose(x)
     assert len(inner) == 1
     assert len(outer) == 2
 
@@ -223,9 +198,7 @@ def test_shape_errors():
     with pytest.raises(ShapeError):
         T.concat([a, b], axis=0)
     with pytest.raises(ShapeError):
-        T.add_n([a, b])
-    with pytest.raises(ShapeError):
-        T.slice_rows(a, 0, 7)
+        T.mul(b, a)
     with pytest.raises(UsageError):
         T.mean_axis(a, "diagonal")
     with pytest.raises(UsageError):

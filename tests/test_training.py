@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from oracles import fd_gradient, max_rel_err
 from presup.config import ModelConfig, TrainConfig
 from presup.errors import TrainingError, UsageError
 from presup.extraction import MARKER, Sample
 from presup.models import WPModel
 from presup.optim import ParamStore
 from presup.rng import Rng
-from presup.tensor import Tensor
+from presup.tensor import Tape, Tensor, backward
 from presup.training import batch_loss, evaluate, sample_target, train
 from presup.vocab import EmbeddingTable, build_vocab
 
@@ -68,6 +69,28 @@ def test_batch_loss_clamps_zero_probabilities(caplog):
     assert math.isfinite(loss.item())
     assert loss.item() == pytest.approx(-math.log(1e-12))
     assert any("clamped" in r.message for r in caplog.records)
+
+
+def test_batch_loss_gradients_with_a_clamped_probability():
+    y_hats = [Tensor([[0.3], [0.7]]), Tensor([[0.9], [0.1]]),
+              Tensor([[1.0 - 1e-13], [1e-13]]), Tensor([[0.45], [0.55]])]
+    labels = [1, 0, 1, 1]
+
+    def loss():
+        with Tape() as tape:
+            out = batch_loss(y_hats, labels)
+        return tape, out
+
+    tape, out = loss()
+    assert len(tape) == 1
+    assert tape.replay()
+    grads = backward(tape, out)
+    np.testing.assert_array_equal(grads.wrt(y_hats[2]), np.zeros((2, 1)))
+    for y_hat in y_hats:
+        # a step small enough to stay below the floor on the clamped entry
+        eps = 1e-14 if y_hat is y_hats[2] else 1e-5
+        fd = fd_gradient(lambda: loss()[1].item(), y_hat.data, eps=eps)
+        assert max_rel_err(fd, grads.wrt(y_hat)) < 1e-6
 
 
 def test_batch_loss_errors():
