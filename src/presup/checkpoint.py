@@ -27,7 +27,7 @@ def save_checkpoint(path, model, dataset_id: str = "", extra: dict | None = None
 
 
 def load_checkpoint(path):
-    """Returns (model, dataset_id); the model exposes predict_label. A file
+    """Returns (model, dataset_id); the model exposes predict_labels. A file
     that is not a well-formed checkpoint is a UsageError naming the path and
     the offending field."""
     with open(path, "r", encoding="utf-8") as f:

@@ -3,7 +3,8 @@
 All commands are driven by a JSON config file; any leaf key can be
 overridden on the command line with repeatable --set key.path=value flags.
 Outputs land under --out with fixed relative names (datasets/, checkpoints/,
-reports/, stats/). Exit codes: 0 success, 1 runtime failure, 2 usage error.
+reports/, stats/). Exit codes: 0 success, 1 runtime failure, 2 usage error
+or malformed input (config, corpus, sample file or checkpoint).
 """
 
 from __future__ import annotations
@@ -151,8 +152,8 @@ def cmd_compare(args) -> int:
     if not data:
         raise UsageError(f"no samples in {args.data}")
     labels = [sample_target(s) for s in data]
-    preds_a = [model_a.predict_label(s) for s in data]
-    preds_b = [model_b.predict_label(s) for s in data]
+    preds_a = model_a.predict_labels(data)
+    preds_b = model_b.predict_labels(data)
     table = contingency(preds_a, preds_b, labels)
     result = mcnemar(table)
     doc = {
@@ -211,12 +212,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, FileNotFoundError) as e:
+    except (UsageError, ParseError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except Exception as e:  # runtime failure
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1

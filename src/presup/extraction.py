@@ -334,9 +334,12 @@ def _marker_problem(tokens, pos) -> str | None:
     config (lengths, the one aligned marker, its governor), or None."""
     if len(tokens) != len(pos):
         return "tokens and pos lengths differ"
-    if tokens.count(MARKER) != 1:
+    try:  # one scan over the tokens: up to the marker, then the rest
+        at = tokens.index(MARKER)
+    except ValueError:
         return "sample must contain exactly one marker token"
-    at = tokens.index(MARKER)
+    if MARKER in tokens[at + 1:]:
+        return "sample must contain exactly one marker token"
     if pos[at] != MARKER or pos.count(MARKER) != 1:
         return "POS marker misaligned with token marker"
     if at + 1 >= len(tokens):

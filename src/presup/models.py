@@ -24,6 +24,9 @@ from .tensor import Tensor
 from .vocab import EmbeddingTable, Vocab
 
 INIT_SCALE = 0.08  # uniform init range for recurrent and dense weights
+# Samples per scoring forward. Larger chunks were no faster and raised peak
+# memory, as glibc's adaptive mmap threshold kept the bigger buffers.
+EVAL_CHUNK = 64
 
 
 @dataclass
@@ -49,21 +52,50 @@ def param_count(params: ParamStore) -> int:
 
 # ---------------------------------------------------------------------------
 # shared building blocks
+#
+# A batch of B samples is padded to T = its longest sample. Its input rows
+# and its hidden-state columns are laid out sample-major: index b*T + t is
+# step t of sample b. Lengths mark the real steps; nothing a padded step
+# holds reaches an output or a gradient.
 
 
-def embed_sequence(sample: Sample, vocab: Vocab, embeddings: EmbeddingTable,
+def _as_batch(samples) -> list:
+    """A single Sample is a batch of one."""
+    return [samples] if isinstance(samples, Sample) else list(samples)
+
+
+def _batch_lengths(lengths, cols: int) -> tuple:
+    """(lengths as an int array, padded steps T) for `cols` = B*T columns;
+    lengths=None means one sequence of `cols` steps."""
+    lengths = np.array([cols] if lengths is None else lengths, dtype=np.intp)
+    steps = cols // max(len(lengths), 1)
+    if lengths.ndim != 1 or not len(lengths) or steps * len(lengths) != cols \
+            or lengths.min() < 1 or lengths.max() > steps:
+        raise ShapeError(f"lengths {lengths.tolist()} do not fit {cols} padded steps")
+    return lengths, steps
+
+
+def embed_sequence(samples, vocab: Vocab, embeddings: EmbeddingTable,
                    cfg: ModelConfig, params: ParamStore | None = None) -> Tensor:
     """Rows are word vectors, optionally concatenated with a POS feature
-    (one-hot or learned 40-dim embedding)."""
-    ids = vocab.token_ids(sample.tokens)
-    words = Tensor(embeddings.matrix[ids])
+    (one-hot or learned 40-dim embedding), for the padded batch: row b*T + t
+    is token t of sample b. Padded rows use id 0 of each table."""
+    batch = _as_batch(samples)
+    steps = max(len(s.tokens) for s in batch)
+    ids = np.zeros((len(batch), steps), dtype=np.intp)
+    for row, sample in zip(ids, batch):
+        row[:len(sample.tokens)] = vocab.token_ids(sample.tokens)
+    words = Tensor(embeddings.matrix[ids.reshape(-1)])
     if cfg.pos_mode == "off":
         return words
-    pos_ids = vocab.pos_ids(sample.pos)
+    pos_ids = np.zeros((len(batch), steps), dtype=np.intp)
+    for row, sample in zip(pos_ids, batch):
+        row[:len(sample.pos)] = vocab.pos_ids(sample.pos)
+    pos_ids = pos_ids.reshape(-1)
     if cfg.pos_mode == "one_hot":
         onehot = np.zeros((len(pos_ids), len(vocab.pos_tags)))
         onehot[np.arange(len(pos_ids)), pos_ids] = 1.0
-        return Tensor(np.hstack([embeddings.matrix[ids], onehot]))
+        return Tensor(np.hstack([words.data, onehot]))
     # learned POS embedding rows go through the tape so they receive gradient
     pos_part = T.gather_rows(params["pos_embedding"], pos_ids)
     return T.concat([words, pos_part], axis=1)
@@ -77,68 +109,86 @@ def input_width(cfg: ModelConfig, vocab: Vocab) -> int:
     return cfg.embed_dim + cfg.pos_dim
 
 
-def lstm_sequence(X: Tensor, W: Tensor, b: Tensor, reverse: bool) -> Tensor:
-    """Run one LSTM direction over X ((T, n) rows = timesteps) as a single
-    fused tape node, returning hidden states as an (s, T) matrix.
+def lstm_sequence(X: Tensor, W: Tensor, b: Tensor, reverse: bool,
+                  lengths=None) -> Tensor:
+    """Run one LSTM direction over a padded batch as a single fused tape
+    node. X is (B*T, n), row b*T + t = step t of sample b; lengths holds
+    each sample's real steps (None: one sequence of all rows). Returns the
+    hidden states as an (s, B*T) matrix whose padded columns are zero.
 
     W is (4s x (n+s)) with gate order i, f, g, o over [x_t ; h_prev]; initial
-    h and c are zero. The closed-form vector-Jacobian product runs standard
-    backpropagation through time over cached gate activations. Fusing the
-    whole direction keeps the tape to one node instead of ~14 per timestep,
-    which dominates training speed at desk scale.
+    h and c are zero. The input projection of every row is one GEMM before
+    the loop, so each step only multiplies the (B, s) state by the
+    recurrent weights. A padded step carries the state through unchanged,
+    so the reverse direction starts at each sample's own last token. The
+    closed-form vector-Jacobian product runs backpropagation through time
+    with the gate gradients masked the same way, then forms dW as two GEMMs
+    over the stacked gate gradients.
     """
     s = W.shape[0] // 4
-    steps, n = X.shape
-    order = list(range(steps - 1, -1, -1)) if reverse else list(range(steps))
+    rows, n = X.shape
+    lengths, steps = _batch_lengths(lengths, rows)
+    B = len(lengths)
+    real = np.arange(steps) < lengths[:, None]  # (B, T)
+    order = range(steps - 1, -1, -1) if reverse else range(steps)
 
     def fwd_full():
-        H = np.zeros((s, steps))
+        W_x, W_h = W.data[:, :n], W.data[:, n:]
+        proj = (X.data @ W_x.T + b.data.T).reshape(B, steps, 4 * s)
+        out = np.zeros((steps, B, s))
+        h_prev = np.zeros((B, steps, s))
         cache = []
-        h = np.zeros((s, 1))
-        c = np.zeros((s, 1))
+        h = np.zeros((B, s))
+        c = np.zeros((B, s))
         for t in order:
-            xh = np.vstack([X.data[t:t + 1].T, h])
-            a = W.data @ xh + b.data
-            i = T._sigmoid(a[0:s])
-            f = T._sigmoid(a[s:2 * s])
-            g = np.tanh(a[2 * s:3 * s])
-            o = T._sigmoid(a[3 * s:4 * s])
+            a = proj[:, t] + h @ W_h.T
+            i = T._sigmoid(a[:, 0:s])
+            f = T._sigmoid(a[:, s:2 * s])
+            g = np.tanh(a[:, 2 * s:3 * s])
+            o = T._sigmoid(a[:, 3 * s:4 * s])
             c_prev = c
+            h_prev[:, t] = h
             c = f * c_prev + i * g
             h = o * np.tanh(c)
-            H[:, t:t + 1] = h
-            cache.append((t, xh, i, f, g, o, c, c_prev))
-        return H, cache
+            m = real[:, t:t + 1]
+            if not m.all():
+                c = np.where(m, c, c_prev)
+                h = np.where(m, h, h_prev[:, t])
+                out[t] = np.where(m, h, 0.0)
+            else:
+                out[t] = h
+            cache.append((t, m, i, f, g, o, c, c_prev))
+        return out.transpose(2, 1, 0).reshape(s, rows), h_prev, cache
 
-    out_data, cache = fwd_full()
-    out = Tensor(out_data)
+    out_data, h_prev, cache = fwd_full()
 
     def vjp(grad):
-        d_W = np.zeros_like(W.data)
-        d_b = np.zeros_like(b.data)
-        d_X = np.zeros_like(X.data)
-        dh_next = np.zeros((s, 1))
-        dc_next = np.zeros((s, 1))
-        for t, xh, i, f, g, o, c, c_prev in reversed(cache):
-            gh = grad[:, t:t + 1] + dh_next
+        W_x, W_h = W.data[:, :n], W.data[:, n:]
+        grad = grad.reshape(s, B, steps)
+        d_a = np.zeros((B, steps, 4 * s))
+        dh = np.zeros((B, s))
+        dc = np.zeros((B, s))
+        for t, m, i, f, g, o, c, c_prev in reversed(cache):
+            gh = grad[:, :, t].T + dh
             tc = np.tanh(c)
-            d_o = gh * tc
-            dc = dc_next + gh * o * (1.0 - tc ** 2)
-            d_a = np.vstack([
-                dc * g * i * (1.0 - i),
-                dc * c_prev * f * (1.0 - f),
-                dc * i * (1.0 - g ** 2),
-                d_o * o * (1.0 - o),
-            ])
-            d_W += d_a @ xh.T
-            d_b += d_a
-            d_xh = W.data.T @ d_a
-            d_X[t] = d_xh[:n, 0]
-            dh_next = d_xh[n:]
-            dc_next = dc * f
-        return d_X, d_W, d_b
+            dc_t = dc + gh * o * (1.0 - tc ** 2)
+            da = d_a[:, t]
+            da[:, 0:s] = dc_t * g * i * (1.0 - i)
+            da[:, s:2 * s] = dc_t * c_prev * f * (1.0 - f)
+            da[:, 2 * s:3 * s] = dc_t * i * (1.0 - g ** 2)
+            da[:, 3 * s:4 * s] = gh * tc * o * (1.0 - o)
+            if not m.all():
+                da[~m[:, 0]] = 0.0
+                dh = np.where(m, da @ W_h, dh)
+                dc = np.where(m, dc_t * f, dc)
+            else:
+                dh = da @ W_h
+                dc = dc_t * f
+        d_a = d_a.reshape(rows, 4 * s)
+        d_W = np.hstack([d_a.T @ X.data, d_a.T @ h_prev.reshape(rows, s)])
+        return d_a @ W_x, d_W, d_a.sum(axis=0)[:, None]
 
-    return T._record(out, (X, W, b), lambda: fwd_full()[0], vjp)
+    return T._record(Tensor(out_data), (X, W, b), lambda: fwd_full()[0], vjp)
 
 
 def conv_rows(X: Tensor, W: Tensor, width: int) -> Tensor:
@@ -167,36 +217,89 @@ def conv_rows(X: Tensor, W: Tensor, width: int) -> Tensor:
     return T._record(Tensor(fwd()), (X, W), fwd, vjp)
 
 
-def bilstm_forward(X: Tensor, params: ParamStore, s: int) -> Tensor:
-    """Forward and backward LSTM passes from zero initial states; output
-    column t is [h_fwd_t ; h_bwd_t], so H is (2s x T)."""
-    fwd = lstm_sequence(X, params["lstm_fwd_W"], params["lstm_fwd_b"], reverse=False)
-    bwd = lstm_sequence(X, params["lstm_bwd_W"], params["lstm_bwd_b"], reverse=True)
-    return T.concat([fwd, bwd], axis=0)
+def _masked_softmax(scores: np.ndarray, axis: int) -> np.ndarray:
+    """Softmax along `axis` of scores whose masked entries are -inf; a slice
+    with no real entry comes out all zero."""
+    top = scores.max(axis=axis, keepdims=True)
+    top[np.isneginf(top)] = 0.0
+    e = np.exp(scores - top)
+    total = e.sum(axis=axis, keepdims=True)
+    total[total == 0.0] = 1.0
+    return e / total
 
 
-def attention_weights(H: Tensor):
-    """Attention-over-attention on the Gram matrix of hidden states.
+def attention_weights(H: Tensor, lengths=None):
+    """Attention-over-attention on the Gram matrix of each sample's hidden
+    states, as one fused tape node over the (B, T, T) stack.
 
-    M = H^T H; rows of M_row and columns of M_col are softmax distributions;
-    beta holds the column means of M_row; alpha = M_col beta. Because M is
-    symmetric, M_col equals M_row^T, so alpha also equals M_row^T beta; both
-    forms are computed and cross-checked on every call.
+    H is (2s, B*T) with column b*T + t = step t of sample b; lengths=None
+    means one sequence. Per sample, M = H_b^T H_b; padded rows and columns
+    of M are set to -inf, rows of M_row and columns of M_col are softmax
+    distributions, beta averages the L_b real rows of M_row, and
+    alpha = M_col beta. Because M is symmetric, M_col equals M_row^T, so
+    alpha also equals M_row^T beta; both forms are computed and
+    cross-checked on every call.
+
+    Returns (M, M_row, M_col, beta, alpha). alpha is (T, B), one column per
+    sample, and is the only output recorded on the tape. beta is (T, B) too;
+    M, M_row and M_col are (B, T, T), or (T, T) when lengths is None.
     """
-    M = T.matmul(T.transpose(H), H)
-    M_row = T.softmax_axis(M, "rows")
-    M_col = T.softmax_axis(M, "cols")
-    beta = T.transpose(T.mean_axis(M_row, "cols"))  # (T, 1)
-    alpha = T.matmul(M_col, beta)
-    alt = M_row.data.T @ beta.data
-    if np.max(np.abs(alpha.data - alt)) > 1e-10:
+    width, cols = H.shape
+    single = lengths is None
+    lengths, steps = _batch_lengths(lengths, cols)
+    B = len(lengths)
+    real = np.arange(steps) < lengths[:, None]
+    pair = real[:, :, None] & real[:, None, :]
+    states = H.data.reshape(width, B, steps).transpose(1, 2, 0)  # (B, T, 2s)
+
+    def fwd_full():
+        M = states @ states.transpose(0, 2, 1)
+        scores = np.where(pair, M, -np.inf)
+        M_row = _masked_softmax(scores, 2)
+        M_col = _masked_softmax(scores, 1)
+        beta = M_row.sum(axis=1) / lengths[:, None]  # (B, T)
+        alpha = (M_col @ beta[:, :, None])[:, :, 0]
+        return M, M_row, M_col, beta, alpha
+
+    M, M_row, M_col, beta, alpha = fwd_full()
+    alt = (M_row.transpose(0, 2, 1) @ beta[:, :, None])[:, :, 0]
+    if np.max(np.abs(alpha - alt)) > 1e-10:
         raise ArithmeticError("attention dual-form mismatch: M_col beta != M_row^T beta")
-    return M, M_row, M_col, beta, alpha
+
+    def vjp(g):
+        g = g.T[:, :, None]  # (B, T, 1)
+        d_col = g * beta[:, None, :]
+        d_beta = M_col.transpose(0, 2, 1) @ g  # (B, T, 1)
+        d_row = (d_beta / lengths[:, None, None]).transpose(0, 2, 1)  # same for every row
+        d_M = M_row * (d_row - (d_row * M_row).sum(axis=2, keepdims=True)) \
+            + M_col * (d_col - (d_col * M_col).sum(axis=1, keepdims=True))
+        d_states = (d_M + d_M.transpose(0, 2, 1)) @ states
+        return (d_states.transpose(2, 0, 1).reshape(width, cols),)
+
+    out = T._record(Tensor(alpha.T.copy()), (H,), lambda: fwd_full()[4].T.copy(), vjp)
+    if single:
+        M, M_row, M_col = M[0], M_row[0], M_col[0]
+    return Tensor(M), Tensor(M_row), Tensor(M_col), Tensor(beta.T.copy()), out
 
 
-def weighted_pool(H: Tensor, alpha: Tensor) -> Tensor:
-    """c = sum_t alpha_t h_t, i.e. H @ alpha."""
-    return T.matmul(H, alpha)
+def pool_states(H: Tensor, alpha: Tensor) -> Tensor:
+    """c_b = sum_t alpha[t, b] h_{b*T+t} for every sample b, as one fused
+    tape node: H is (2s, B*T), alpha is (T, B) and c is (2s, B)."""
+    width, cols = H.shape
+    steps, B = alpha.shape
+    if steps * B != cols:
+        raise ShapeError(f"pool_states: weights {alpha.shape} over states {H.shape}")
+    states = H.data.reshape(width, B, steps).transpose(1, 0, 2)  # (B, 2s, T)
+
+    def fwd():
+        return (states @ alpha.data.T[:, :, None])[:, :, 0].T.copy()
+
+    def vjp(g):
+        d_H = g[:, :, None] * alpha.data.T[None, :, :]
+        d_alpha = (states.transpose(0, 2, 1) @ g.T[:, :, None])[:, :, 0].T
+        return d_H.reshape(width, cols), d_alpha
+
+    return T._record(Tensor(fwd()), (H, alpha), fwd, vjp)
 
 
 def _activation(name: str):
@@ -249,7 +352,8 @@ def _config_from(doc) -> ModelConfig:
 
 class NeuralModel:
     """Base of the recurrent classifiers and the CNN. Subclasses name their
-    layers in ``_layer_shapes`` and define ``forward`` and ``predict_label``."""
+    layers in ``_layer_shapes`` and define ``forward``, which scores a batch
+    of samples, and ``predict_label``."""
 
     variant = ""
 
@@ -280,6 +384,19 @@ class NeuralModel:
     def predict_proba(self, sample: Sample) -> np.ndarray:
         y_hat, _ = self.forward(sample, mode="eval")
         return y_hat.data.reshape(-1).copy()
+
+    def predict_labels(self, samples) -> list:
+        """Argmax label of every sample, scored in length-sorted chunks of
+        EVAL_CHUNK so that each chunk carries little padding."""
+        samples = list(samples)
+        order = sorted(range(len(samples)), key=lambda k: len(samples[k].tokens))
+        labels = [0] * len(samples)
+        for start in range(0, len(order), EVAL_CHUNK):
+            chunk = order[start:start + EVAL_CHUNK]
+            y_hat, _ = self.forward([samples[k] for k in chunk], mode="eval")
+            for k, label in zip(chunk, np.argmax(y_hat.data, axis=0)):
+                labels[k] = int(label)
+        return labels
 
     def state(self) -> dict:
         """Config, vocabulary, embedding matrix and every named parameter."""
@@ -348,49 +465,56 @@ class RecurrentClassifier(NeuralModel):
         for direction in ("fwd", "bwd"):
             self.params[f"lstm_{direction}_b"].data[s:2 * s] = 1.0  # forget gates
 
-    def forward(self, sample: Sample, mode: str = "eval", rng: Rng | None = None,
+    def forward(self, samples, mode: str = "eval", rng: Rng | None = None,
                 dropout_p: float = 0.5, alpha_override: np.ndarray | None = None,
                 return_trace: bool = False):
+        """Class probabilities of a batch as a (2, B) tensor, one column per
+        sample; a single Sample is a batch of one. alpha_override holds
+        (T, B) pooling weights; return_trace needs a batch of one."""
         if mode not in ("train", "eval"):
             raise UsageError(f"mode must be 'train' or 'eval', got {mode!r}")
-        cfg = self.cfg
-        X = embed_sequence(sample, self.vocab, self.embeddings, cfg, self.params)
-        H = bilstm_forward(X, self.params, cfg.hidden_size)
-        steps = H.shape[1]
+        batch = _as_batch(samples)
+        if return_trace and len(batch) != 1:
+            raise UsageError("return_trace needs a single sample")
+        cfg, p = self.cfg, self.params
+        lengths = np.array([len(s.tokens) for s in batch])
+        steps = int(lengths.max())
+        X = embed_sequence(batch, self.vocab, self.embeddings, cfg, p)
+        H = T.concat([lstm_sequence(X, p["lstm_fwd_W"], p["lstm_fwd_b"], False, lengths),
+                      lstm_sequence(X, p["lstm_bwd_W"], p["lstm_bwd_b"], True, lengths)],
+                     axis=0)
         trace_parts = None
         if alpha_override is not None:
-            alpha = Tensor(np.asarray(alpha_override).reshape(steps, 1))
+            alpha = Tensor(np.asarray(alpha_override).reshape(steps, len(batch)))
         elif self.pooling == "attention":
-            M, M_row, M_col, beta, alpha = attention_weights(H)
-            trace_parts = (M, M_row, M_col, beta)
+            M, M_row, M_col, beta, alpha = attention_weights(H, lengths)
+            trace_parts = (M.data[0], M_row.data[0], M_col.data[0], beta.data)
         else:
-            alpha = Tensor(np.full((steps, 1), 1.0 / steps))
-        c = weighted_pool(H, alpha)
-        z = _activation(cfg.activation)(T.add(T.matmul(self.params["dense_W"], c),
-                                              self.params["dense_b"]))
+            alpha = Tensor((np.arange(steps)[:, None] < lengths) / lengths)
+        c = pool_states(H, alpha)
+        z = _activation(cfg.activation)(T.add(T.matmul(p["dense_W"], c), p["dense_b"]))
         if mode == "train" and dropout_p > 0.0:
             if rng is None:
                 raise UsageError("train mode with dropout needs an Rng")
-            z = T.mul(z, dropout_mask(z.shape, dropout_p, rng))
-        logits = T.add(T.matmul(self.params["out_W"], z), self.params["out_b"])
+            # one (B, d) draw: row b is the (d, 1) mask sample b drew on its own
+            mask = dropout_mask((len(batch), z.shape[0]), dropout_p, rng)
+            z = T.mul(z, Tensor(mask.data.T))
+        logits = T.add(T.matmul(p["out_W"], z), p["out_b"])
         y_hat = T.softmax_axis(logits, "cols")
         if not return_trace:
             return y_hat, None
         if trace_parts is None:
             m = np.full((steps, steps), np.nan)
-            trace_parts = (Tensor(m), Tensor(m), Tensor(m),
-                           Tensor(np.full((steps, 1), np.nan)))
+            trace_parts = (m, m, m, np.full((steps, 1), np.nan))
         M, M_row, M_col, beta = trace_parts
         trace = ForwardTrace(
-            X=X.data.copy(), H=H.data.copy(), M=M.data.copy(),
-            M_row=M_row.data.copy(), M_col=M_col.data.copy(),
-            beta=beta.data.copy(), alpha=alpha.data.copy(), c=c.data.copy(),
-            z=z.data.copy(), y_hat=y_hat.data.copy())
+            X=X.data.copy(), H=H.data.copy(), M=M.copy(), M_row=M_row.copy(),
+            M_col=M_col.copy(), beta=beta.copy(), alpha=alpha.data.copy(),
+            c=c.data.copy(), z=z.data.copy(), y_hat=y_hat.data.copy())
         return y_hat, trace
 
     def predict_label(self, sample: Sample) -> int:
-        y_hat, _ = self.forward(sample, mode="eval")
-        return int(np.argmax(y_hat.data.reshape(-1)))
+        return self.predict_labels([sample])[0]
 
 
 class WPModel(RecurrentClassifier):
@@ -421,8 +545,15 @@ class CnnModel(NeuralModel):
         shapes.update(out_W=(2, cfg.cnn_maps * len(cfg.cnn_widths)), out_b=(2, 1))
         return shapes
 
-    def forward(self, sample: Sample, mode: str = "eval", rng: Rng | None = None,
+    def forward(self, samples, mode: str = "eval", rng: Rng | None = None,
                 dropout_p: float = 0.5):
+        """Class probabilities of a batch as a (2, B) tensor. Each sample
+        runs on its own, padded to max_len; one concat joins the columns."""
+        return T.concat([self._column(s, mode, rng, dropout_p)
+                         for s in _as_batch(samples)], axis=1), None
+
+    def _column(self, sample: Sample, mode: str, rng: Rng | None,
+                dropout_p: float) -> Tensor:
         cfg = self.cfg
         n = input_width(cfg, self.vocab)
         X = embed_sequence(sample, self.vocab, self.embeddings, cfg, self.params)
@@ -442,12 +573,10 @@ class CnnModel(NeuralModel):
                 raise UsageError("train mode with dropout needs an Rng")
             feat = T.mul(feat, dropout_mask(feat.shape, dropout_p, rng))
         logits = T.add(T.matmul(self.params["out_W"], feat), self.params["out_b"])
-        y_hat = T.softmax_axis(logits, "cols")
-        return y_hat, None
+        return T.softmax_axis(logits, "cols")
 
     def predict_label(self, sample: Sample) -> int:
-        y_hat, _ = self.forward(sample, mode="eval")
-        return int(np.argmax(y_hat.data.reshape(-1)))
+        return self.predict_labels([sample])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +669,9 @@ class LogRegModel:
     def predict_label(self, sample: Sample) -> int:
         return int(self.predict_proba(sample)[1] >= 0.5)
 
+    def predict_labels(self, samples) -> list:
+        return [self.predict_label(s) for s in samples]
+
     def state(self) -> dict:
         return {"config": _cfg_dict(self.cfg),
                 "features": sorted(self.feature_index, key=self.feature_index.get),
@@ -584,6 +716,9 @@ class MfcModel:
         if self.majority is None:
             raise UsageError("MfcModel used before fit")
         return self.majority
+
+    def predict_labels(self, samples) -> list:
+        return [self.predict_label(s) for s in samples]
 
     def predict_proba(self, sample: Sample) -> np.ndarray:
         label = self.predict_label(sample)

@@ -146,13 +146,9 @@ def tanh(x: Tensor) -> Tensor:
 
 
 def _sigmoid(a):
-    # split by sign to avoid exp overflow
-    pos = a >= 0
-    z = np.empty_like(a)
-    z[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-    e = np.exp(a[~pos])
-    z[~pos] = e / (1.0 + e)
-    return z
+    # exp(-|a|) never overflows: 1/(1+e) for a >= 0, e/(1+e) below
+    e = np.exp(-np.abs(a))
+    return np.where(a >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def relu(x: Tensor) -> Tensor:
@@ -196,19 +192,6 @@ def _axis_index(axis: str, name: str) -> int:
     if axis == "cols":
         return 0
     raise UsageError(f"{name}: axis must be 'rows' or 'cols', got {axis!r}")
-
-
-def mean_axis(x: Tensor, axis: str) -> Tensor:
-    """Mean within each row (axis='rows', output m x 1) or within each
-    column (axis='cols', output 1 x n)."""
-    ax = _axis_index(axis, "mean_axis")
-    out = Tensor(x.data.mean(axis=ax, keepdims=True))
-    n = x.shape[ax]
-    return _record(
-        out, (x,),
-        lambda: x.data.mean(axis=ax, keepdims=True),
-        lambda g: (np.broadcast_to(g / n, x.shape).copy(),),
-    )
 
 
 def max_axis(x: Tensor, axis: str) -> Tensor:

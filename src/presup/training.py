@@ -11,7 +11,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import TrainConfig
-from .errors import TrainingError, UsageError
+from .errors import ShapeError, TrainingError, UsageError
 from .metrics import ConfusionMatrix, confusion
 from .optim import AdamState, adam_step, clip_gradients
 from .rng import Rng
@@ -61,48 +61,47 @@ def sample_target(sample) -> int:
     return 0 if sample.label == "none" else 1
 
 
-def batch_loss(y_hats, labels) -> Tensor:
+def batch_loss(probs, labels) -> Tensor:
     """Mean negative log-likelihood of the true labels over the batch, as
     one tape node.
 
-    Each y_hat is a (2, 1) probability column. Probabilities below 1e-12
-    are clamped before the log (and logged as a warning); a clamped entry
-    gets zero gradient.
+    probs is a (2, B) probability tensor, one column per sample; a list of
+    (2, 1) columns is first joined by one concat node. Probabilities below
+    1e-12 are clamped before the log (and logged as a warning); a clamped
+    entry gets zero gradient.
     """
-    if len(y_hats) != len(labels):
-        raise UsageError(f"batch size mismatch: {len(y_hats)} vs {len(labels)}")
-    if not y_hats:
+    if isinstance(probs, (list, tuple)):
+        probs = T.concat(probs, axis=1)
+    if probs.data.ndim != 2 or probs.shape[0] != 2:
+        raise ShapeError(f"batch_loss: probabilities of shape {probs.shape}, not (2, B)")
+    if probs.shape[1] != len(labels):
+        raise UsageError(f"batch size mismatch: {probs.shape[1]} vs {len(labels)}")
+    if not labels:
         raise UsageError("batch_loss on an empty batch")
     for y in labels:
         if y not in (0, 1):
             raise UsageError(f"label must be 0 or 1, got {y!r}")
     scale = 1.0 / len(labels)
-
-    def picked():
-        return np.array([y_hat.data[y, 0] for y_hat, y in zip(y_hats, labels)])
+    where = (np.array(labels), np.arange(len(labels)))
 
     def fwd():
-        nll = -np.log(np.maximum(picked(), LOG_FLOOR))
+        nll = -np.log(np.maximum(probs.data[where], LOG_FLOOR))
         total = nll[0]
         for value in nll[1:]:  # left to right, not pairwise
             total += value
         return np.array([[total * scale]])
 
-    clamped = int(np.sum(picked() < LOG_FLOOR))
+    clamped = int(np.sum(probs.data[where] < LOG_FLOOR))
     if clamped:
         logger.warning("batch_loss: %d probabilities clamped to %g", clamped, LOG_FLOOR)
 
     def vjp(g):
-        p = picked()
-        d_p = -(g[0, 0] * scale) / np.maximum(p, LOG_FLOOR) * (p > LOG_FLOOR)
-        grads = []
-        for y_hat, y, d in zip(y_hats, labels, d_p):
-            d_y_hat = np.zeros_like(y_hat.data)
-            d_y_hat[y, 0] = d
-            grads.append(d_y_hat)
-        return tuple(grads)
+        p = probs.data[where]
+        d_probs = np.zeros_like(probs.data)
+        d_probs[where] = -(g[0, 0] * scale) / np.maximum(p, LOG_FLOOR) * (p > LOG_FLOOR)
+        return (d_probs,)
 
-    return T._record(Tensor(fwd()), tuple(y_hats), fwd, vjp)
+    return T._record(Tensor(fwd()), (probs,), fwd, vjp)
 
 
 def evaluate(model, data, model_id: str = "", dataset_id: str = "") -> EvalReport:
@@ -110,7 +109,7 @@ def evaluate(model, data, model_id: str = "", dataset_id: str = "") -> EvalRepor
     data = list(data)
     if not data:
         raise UsageError("evaluate: empty dataset")
-    preds = [model.predict_label(s) for s in data]
+    preds = model.predict_labels(data)
     labels = [sample_target(s) for s in data]
     cm = confusion(preds, labels)
     accuracy = cm.accuracy
@@ -136,10 +135,11 @@ def train(model, train_set, dev_set, cfg: TrainConfig, rng: Rng,
     """Mini-batch Adam with elementwise gradient clipping and early stopping.
 
     Per epoch: seeded shuffle, batches of cfg.batch_size (last short batch
-    included), forward in train mode, mean cross-entropy, backward, clip,
-    Adam step, then dev accuracy. Stops once dev accuracy has not strictly
-    improved for cfg.patience epochs; the returned model carries the
-    parameters of the best (earliest, on ties) dev epoch.
+    included), one forward of the whole batch in train mode, mean
+    cross-entropy, backward, clip, Adam step, then dev accuracy. Stops once
+    dev accuracy has not strictly improved for cfg.patience epochs; the
+    returned model carries the parameters of the best (earliest, on ties)
+    dev epoch.
 
     dev_eval(model, dev_set, epoch) -> accuracy may be injected for testing
     the stopping rule.
@@ -164,9 +164,9 @@ def train(model, train_set, dev_set, cfg: TrainConfig, rng: Rng,
         for start in range(0, len(order), cfg.batch_size):
             batch = [train_set[i] for i in order[start:start + cfg.batch_size]]
             with Tape() as tape:
-                y_hats = [model.forward(s, mode="train", rng=dropout_rng,
-                                        dropout_p=cfg.dropout)[0] for s in batch]
-                loss = batch_loss(y_hats, [sample_target(s) for s in batch])
+                y_hat, _ = model.forward(batch, mode="train", rng=dropout_rng,
+                                         dropout_p=cfg.dropout)
+                loss = batch_loss(y_hat, [sample_target(s) for s in batch])
             loss_value = loss.item()
             if not math.isfinite(loss_value):
                 raise TrainingError(

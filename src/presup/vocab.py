@@ -55,10 +55,12 @@ class Vocab:
         return self.pos_to_id.get(tag, self.pos_to_id[UNK])
 
     def token_ids(self, tokens) -> list:
-        return [self.id_of(t) for t in tokens]
+        get, unk = self.token_to_id.get, self.unk_id
+        return [get(t, unk) for t in tokens]
 
     def pos_ids(self, tags) -> list:
-        return [self.pos_id_of(t) for t in tags]
+        get, unk = self.pos_to_id.get, self.pos_to_id[UNK]
+        return [get(t, unk) for t in tags]
 
 
 def build_vocab(samples, min_count: int = 1) -> Vocab:

@@ -1,8 +1,16 @@
-from pathlib import Path
+import os
 
-import pytest
+# One BLAS thread, the benchmark's policy (perfbench/run.py): on a two-core
+# host two threads made the CNN about 4x slower. Set before numpy loads; a
+# value the caller already exported wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from presup.extraction import parse_corpus
+from pathlib import Path  # noqa: E402
+
+import pytest  # noqa: E402
+
+from presup.extraction import parse_corpus  # noqa: E402
 
 TESTS_DIR = Path(__file__).parent
 

@@ -7,6 +7,8 @@ absolute (~1e-11), not relative.
 
 import numpy as np
 
+from presup import tensor as T
+
 REL_FLOOR = 1e-6
 
 
@@ -40,3 +42,11 @@ def max_rel_err(fd: np.ndarray, g: np.ndarray) -> float:
     if denom.size == 0:
         return 0.0
     return float(np.max(np.abs(fd[mask] - g[mask]) / denom))
+
+
+def tape_sum(x: T.Tensor) -> T.Tensor:
+    """Sum of every entry of x as a (1, 1) tensor, recorded on the active
+    tape (ones-vector products), for turning any output into a loss."""
+    rows, cols = x.shape
+    return T.matmul(T.matmul(T.Tensor(np.ones((1, rows))), x),
+                    T.Tensor(np.ones((cols, 1))))

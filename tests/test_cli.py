@@ -76,7 +76,7 @@ def test_extract_parse_error_exit_code(tmp_path):
     corrupt.write_text("#doc d 1\nword\tNN\n")
     cfg = _write_config(tmp_path, corrupt)
     assert main(["extract", "--config", str(cfg),
-                 "--out", str(tmp_path / "o")]) == 1
+                 "--out", str(tmp_path / "o")]) == 2
 
 
 @pytest.fixture
@@ -205,5 +205,5 @@ def test_eval_rejects_malformed_sample_with_line_number(extracted, capsys):
         capsys.readouterr()
         rc = main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
                    "--out", str(out)])
-        assert rc == 1, name
+        assert rc == 2, name
         assert "line 2:" in capsys.readouterr().err, name

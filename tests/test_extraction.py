@@ -2,8 +2,8 @@ import pytest
 
 from presup.config import ExtractionConfig
 from presup.errors import ParseError, UsageError
-from presup.extraction import (MARKER, Sample, extract_positive, filter_too,
-                               find_occurrences, parse_corpus, read_samples,
+from presup.extraction import (MARKER, Sample, _marker_problem, extract_positive,
+                               filter_too, find_occurrences, parse_corpus, read_samples,
                                resolve_governor, run_extraction, split_dataset,
                                truncate_sample, validate_sample, write_samples)
 from presup.rng import Rng
@@ -294,3 +294,26 @@ def test_validate_sample_rejects_malformed():
     for sample in bad:
         with pytest.raises(UsageError):
             validate_sample(sample, CFG)
+
+
+@pytest.mark.parametrize("tokens, pos, problem", [
+    (["a", MARKER, "b"], ["x", MARKER, "y"], None),
+    (["a", MARKER, "b"], ["x", MARKER], "lengths differ"),
+    (["a", "b", "c"], ["x", "y", "z"], "exactly one marker"),
+    (["a", "b", "c"], ["x", MARKER, "z"], "exactly one marker"),
+    ([MARKER, "b", MARKER], [MARKER, "y", MARKER], "exactly one marker"),
+    ([MARKER, "b", MARKER], ["x", "y", "z"], "exactly one marker"),
+    (["a", MARKER, "b"], ["x", "y", "z"], "misaligned"),
+    (["a", MARKER, "b"], [MARKER, "y", "z"], "misaligned"),
+    (["a", MARKER, "b"], ["x", MARKER, MARKER], "misaligned"),
+    (["a", MARKER, "b"], [MARKER, MARKER, "z"], "misaligned"),
+    (["a", "b", MARKER], ["x", "y", MARKER], "no following governor"),
+    (["a", "b", MARKER], ["x", MARKER, "z"], "misaligned"),  # fires before the governor check
+    ([MARKER], [MARKER], "no following governor"),
+])
+def test_marker_problem_table(tokens, pos, problem):
+    found = _marker_problem(tokens, pos)
+    if problem is None:
+        assert found is None
+    else:
+        assert problem in found

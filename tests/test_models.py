@@ -3,18 +3,20 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import fd_gradient, max_rel_err
+from oracles import fd_gradient, max_rel_err, tape_sum
 from presup import tensor as T
 from presup.checkpoint import load_checkpoint, save_checkpoint
 from presup.cli import main
 from presup.config import MODEL_VARIANTS, ModelConfig
 from presup.errors import ShapeError, UsageError
 from presup.extraction import MARKER, Sample, write_samples
-from presup.models import (VARIANTS, LogRegModel, MfcModel, attention_weights,
-                           bilstm_forward, conv_rows, embed_sequence, input_width,
-                           lstm_sequence, logreg_featurize, mfc_fit,
-                           mfc_predict, param_count)
+from presup.models import (EVAL_CHUNK, VARIANTS, LogRegModel, MfcModel,
+                           attention_weights, conv_rows, embed_sequence, input_width,
+                           lstm_sequence, logreg_featurize, mfc_fit, mfc_predict,
+                           param_count, pool_states)
 from presup.optim import ParamStore
 from presup.rng import Rng
 from presup.tensor import Tape, Tensor, backward
@@ -95,7 +97,7 @@ def test_lstm_sequence_gradients():
     def loss():
         with Tape() as tape:
             H = lstm_sequence(X, W, b, reverse=True)
-            out = T.mean_axis(T.mean_axis(T.matmul(H, proj), "rows"), "cols")
+            out = tape_sum(T.matmul(H, proj))
         return tape, out
 
     tape, out = loss()
@@ -130,8 +132,7 @@ def test_conv_rows_gradients():
 
     def loss():
         with Tape() as tape:
-            out = T.mean_axis(T.mean_axis(T.matmul(conv_rows(X, W, width), proj),
-                                          "rows"), "cols")
+            out = tape_sum(T.matmul(conv_rows(X, W, width), proj))
         return tape, out
 
     tape, out = loss()
@@ -151,17 +152,81 @@ def test_conv_rows_shape_errors():
 
 
 def test_bilstm_shape_and_init():
-    samples, vocab, model = _setup()
+    samples, _, model = _setup()
     s = model.cfg.hidden_size
-    X = embed_sequence(samples[0], vocab, model.embeddings, model.cfg, model.params)
-    H = bilstm_forward(X, model.params, s)
-    assert H.shape == (2 * s, len(samples[0].tokens))
+    _, trace = model.forward(samples[0], return_trace=True)
+    assert trace.H.shape == (2 * s, len(samples[0].tokens))
     for direction in ("fwd", "bwd"):
         b = model.params[f"lstm_{direction}_b"].data
         np.testing.assert_array_equal(b[s:2 * s], 1.0)  # forget gate bias
         assert np.all(b[:s] == 0.0) and np.all(b[2 * s:] == 0.0)
         W = model.params[f"lstm_{direction}_W"].data
         assert np.all(np.abs(W) <= 0.08)
+
+
+def _reference_batch(rng, lengths, n):
+    """Padded rows b*T + t filled with noise: the mask, not zeros, must
+    keep them out."""
+    return Tensor(rng.uniform(-1, 1, (len(lengths) * max(lengths), n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_lstm_sequence_batch_matches_per_sequence_reference(data):
+    B = data.draw(st.integers(1, 4), label="B")
+    lengths = data.draw(st.lists(st.integers(1, 7), min_size=B, max_size=B),
+                        label="lengths")
+    n = data.draw(st.integers(1, 5), label="n")
+    s = data.draw(st.integers(1, 4), label="s")
+    reverse = data.draw(st.booleans(), label="reverse")
+    rng = Rng(data.draw(st.integers(0, 2 ** 32), label="seed"))
+    steps = max(lengths)
+    X = _reference_batch(rng, lengths, n)
+    W = Tensor(rng.uniform(-0.8, 0.8, (4 * s, n + s)))
+    b = Tensor(rng.uniform(-0.5, 0.5, (4 * s, 1)))
+    out = lstm_sequence(X, W, b, reverse, lengths)
+    assert out.shape == (s, B * steps)
+    for k, length in enumerate(lengths):
+        cols = out.data[:, k * steps:(k + 1) * steps]
+        expected = _manual_lstm(X.data[k * steps:k * steps + length], W.data, b.data,
+                                reverse)
+        np.testing.assert_allclose(cols[:, :length], expected, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(cols[:, length:], 0.0)
+
+
+def test_lstm_sequence_batch_gradients():
+    rng = Rng(13)
+    s, n, lengths = 3, 4, [1, 5, 3]
+    X = _reference_batch(rng, lengths, n)
+    W = Tensor(rng.uniform(-0.5, 0.5, (4 * s, n + s)))
+    b = Tensor(rng.uniform(-0.2, 0.2, (4 * s, 1)))
+    proj = Tensor(rng.uniform(-1, 1, (X.shape[0], s)))
+
+    def loss(reverse):
+        with Tape() as tape:
+            H = lstm_sequence(X, W, b, reverse, lengths)
+            out = tape_sum(T.matmul(H, proj))
+        return tape, out
+
+    for reverse in (False, True):
+        tape, out = loss(reverse)
+        grads = backward(tape, out)
+        assert tape.replay()
+        for t in (X, W, b):
+            fd = fd_gradient(lambda: loss(reverse)[1].item(), t.data)
+            assert max_rel_err(fd, grads.wrt(t)) < 1e-6
+        steps = max(lengths)
+        padded = [k * steps + t for k, length in enumerate(lengths)
+                  for t in range(length, steps)]
+        np.testing.assert_array_equal(grads.wrt(X)[padded], 0.0)
+
+
+def test_lstm_sequence_rejects_lengths_that_do_not_fit():
+    X = Tensor(np.zeros((6, 2)))
+    W, b = Tensor(np.zeros((4, 3))), Tensor(np.zeros((4, 1)))
+    for lengths in ([4, 2], [2, 0], [1, 1, 1, 1]):
+        with pytest.raises(ShapeError):
+            lstm_sequence(X, W, b, False, lengths)
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +253,45 @@ def test_attention_uniform_on_identical_states():
     H = Tensor(np.repeat(h, 5, axis=1))
     *_, alpha = attention_weights(H)
     np.testing.assert_allclose(alpha.data, np.full((5, 1), 0.2), atol=1e-12)
+
+
+def test_attention_batch_matches_per_sequence():
+    rng = Rng(5)
+    lengths, steps = [1, 6, 3], 6
+    H = Tensor(rng.uniform(-2, 2, (8, len(lengths) * steps)))
+    M, M_row, M_col, beta, alpha = attention_weights(H, lengths)
+    assert M.shape == (3, steps, steps) and alpha.shape == beta.shape == (steps, 3)
+    for k, length in enumerate(lengths):
+        single = attention_weights(Tensor(H.data[:, k * steps:k * steps + length]))
+        for batched, one in zip((M_row.data[k], M_col.data[k]), single[1:3]):
+            np.testing.assert_allclose(batched[:length, :length], one.data, atol=1e-12)
+            np.testing.assert_array_equal(batched[length:], 0.0)
+            np.testing.assert_array_equal(batched[:, length:], 0.0)
+        for batched, one in ((beta, single[3]), (alpha, single[4])):
+            np.testing.assert_allclose(batched.data[:length, k:k + 1], one.data,
+                                       atol=1e-12)
+            np.testing.assert_array_equal(batched.data[length:, k], 0.0)
+
+
+def test_attention_and_pool_gradients_over_a_padded_batch():
+    rng = Rng(6)
+    lengths, steps = [2, 4, 1], 4
+    H = Tensor(rng.uniform(-1, 1, (6, len(lengths) * steps)))
+    proj = Tensor(rng.uniform(-1, 1, (3, 6)))
+
+    def loss():
+        with Tape() as tape:
+            alpha = attention_weights(H, lengths)[4]
+            c = pool_states(H, alpha)
+            out = tape_sum(T.tanh(T.matmul(proj, c)))
+        return tape, out
+
+    tape, out = loss()
+    assert len(tape) == 6  # attention and pooling are one node each
+    assert tape.replay()
+    grads = backward(tape, out)
+    fd = fd_gradient(lambda: loss()[1].item(), H.data)
+    assert max_rel_err(fd, grads.wrt(H)) < 1e-6  # padded columns: both zero
 
 
 def test_wp_and_baseline_share_parameter_count():
@@ -239,6 +343,85 @@ def test_dropout_only_in_train_mode():
 
 
 # ---------------------------------------------------------------------------
+# batched forward: one padded, length-masked pass equals per-sample passes
+
+WORDS = ["we", "go", "run", "fast", "he", "eats", "runs", "home", "now", "."]
+TAGS = ["PRP", "VB", "RB", "NN", "VBZ"]
+MIXED_LENGTHS = [7, 1, 60, 3, 12, 2, 33, 60]
+
+
+def _mixed_batch(seed=0, lengths=MIXED_LENGTHS):
+    rng = Rng(seed)
+    batch = []
+    for k, length in enumerate(lengths):
+        tokens = [WORDS[rng.integers(0, len(WORDS))] for _ in range(length)]
+        pos = [TAGS[rng.integers(0, len(TAGS))] for _ in range(length)]
+        at = rng.integers(0, length)
+        tokens[at] = pos[at] = MARKER
+        batch.append(Sample("again" if k % 2 else "none", tokens, pos, "0"))
+    return batch
+
+
+@pytest.mark.parametrize("pos_mode", ["off", "one_hot", "embed"])
+@pytest.mark.parametrize("variant", ["wp", "lstm"])
+def test_mixed_length_batch_equals_batches_of_one(variant, pos_mode):
+    _, _, model = _setup(variant, pos_mode=pos_mode, pos_dim=3, max_len=60)
+    batch = _mixed_batch()
+    y_hat, _ = model.forward(batch)
+    assert y_hat.shape == (2, len(batch))
+    for k, sample in enumerate(batch):
+        one, _ = model.forward(sample)
+        np.testing.assert_allclose(y_hat.data[:, k:k + 1], one.data, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("variant", ["wp", "lstm", "cnn"])
+def test_batched_dropout_equals_sequential_forwards(variant):
+    # tanh keeps every dense unit active, so each mask entry shows
+    _, _, model = _setup(variant, activation="tanh", max_len=60, cnn_widths=(2, 3))
+    batch = _mixed_batch(seed=1)
+    y_hat, _ = model.forward(batch, mode="train", rng=Rng(9), dropout_p=0.5)
+    rng = Rng(9)
+    for k, sample in enumerate(batch):
+        one, _ = model.forward(sample, mode="train", rng=rng, dropout_p=0.5)
+        np.testing.assert_allclose(y_hat.data[:, k:k + 1], one.data, rtol=0, atol=1e-12)
+    assert not np.allclose(y_hat.data, model.forward(batch)[0].data)
+
+
+@pytest.mark.parametrize("variant", ["wp", "lstm"])
+def test_gradients_through_a_mixed_length_batch(variant):
+    _, _, model = _setup(variant, hidden_size=3, pos_mode="embed", pos_dim=2)
+    batch = _mixed_batch(seed=2, lengths=[4, 1, 6, 2])
+    labels = [sample_target(s) for s in batch]
+    coords = np.random.default_rng(7)
+
+    def loss():
+        with Tape() as tape:
+            y_hat, _ = model.forward(batch)
+            out = batch_loss(y_hat, labels)
+        return tape, out
+
+    tape, out = loss()
+    assert tape.replay()
+    grads = backward(tape, out).for_store(model.params)
+    for name, p in model.params.trainable_items():
+        probe = coords.choice(p.data.size, size=min(p.data.size, 8), replace=False)
+        fd = fd_gradient(lambda: loss()[1].item(), p.data, coords=probe)
+        assert max_rel_err(fd, grads[name]) < 1e-4, name
+
+
+@pytest.mark.parametrize("variant", ["wp", "cnn"])
+def test_predict_labels_in_sorted_chunks_keep_input_order(variant):
+    _, _, model = _setup(variant, activation="tanh", max_len=60, cnn_widths=(2, 3))
+    model.params["out_W"].data *= 100.0  # so that both labels occur
+    lengths = [(k * 37) % 23 + 1 for k in range(EVAL_CHUNK + 9)]
+    batch = _mixed_batch(seed=3, lengths=lengths)
+    one_by_one = [int(np.argmax(model.predict_proba(s))) for s in batch]
+    assert 0 < sum(one_by_one) < len(batch)
+    assert model.predict_labels(batch) == one_by_one
+    assert [model.predict_label(s) for s in batch] == one_by_one
+
+
+# ---------------------------------------------------------------------------
 # inputs
 
 
@@ -269,7 +452,7 @@ def test_pos_embedding_is_learned():
     assert X.shape == (6, 6 + 3)
     with Tape() as tape:
         y_hat, _ = model.forward(samples[0])
-        loss = batch_loss([y_hat], [1])
+        loss = batch_loss(y_hat, [1])
     g = backward(tape, loss).wrt(model.params["pos_embedding"])
     assert np.any(g != 0.0)
 
@@ -287,7 +470,7 @@ def test_cnn_forward_shape_and_gradients():
     def loss():
         with Tape() as tape:
             out, _ = cnn.forward(samples[0])
-            l = batch_loss([out], [sample_target(samples[0])])
+            l = batch_loss(out, [sample_target(samples[0])])
         return tape, l
 
     tape, l = loss()
@@ -297,15 +480,18 @@ def test_cnn_forward_shape_and_gradients():
         assert max_rel_err(fd, grads.wrt(t)) < 1e-4, name
 
 
-@pytest.mark.parametrize("variant, per_sample", [("wp", 18), ("lstm", 11), ("cnn", 19)])
-def test_training_step_tape_nodes(variant, per_sample):
+@pytest.mark.parametrize("variant, fixed, per_sample",
+                         [("wp", 13, 0), ("lstm", 12, 0), ("cnn", 2, 19)],
+                         ids=["wp", "lstm", "cnn"])
+def test_training_step_tape_nodes(variant, fixed, per_sample):
     samples, _, model = _setup(variant)
-    batch = samples + samples[:1]  # shorter than max_len: the CNN pads each
     rng = Rng(4)
-    with Tape() as tape:
-        y_hats = [model.forward(s, mode="train", rng=rng)[0] for s in batch]
-        batch_loss(y_hats, [sample_target(s) for s in batch])
-    assert len(tape) == per_sample * len(batch) + 1
+    for batch in (samples[:1], samples + samples[:1], samples * 3):
+        # samples are shorter than max_len, so the CNN pads each one
+        with Tape() as tape:
+            y_hat, _ = model.forward(batch, mode="train", rng=rng)
+            batch_loss(y_hat, [sample_target(s) for s in batch])
+        assert len(tape) == fixed + per_sample * len(batch)
 
 
 def test_cnn_widths_must_be_distinct():

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import fd_gradient, max_rel_err
 from presup.config import ModelConfig, TrainConfig
-from presup.errors import TrainingError, UsageError
+from presup.errors import ShapeError, TrainingError, UsageError
 from presup.extraction import MARKER, Sample
 from presup.models import WPModel
 from presup.optim import ParamStore
@@ -40,14 +40,14 @@ class _StubModel:
         self.params = ParamStore()
         self.params.add("w", Tensor(np.zeros((1, 1))))
         self.probs = np.array(probs, dtype=float).reshape(2, 1)
-        self.forward_calls = 0
+        self.samples_seen = 0
 
-    def forward(self, sample, mode="eval", rng=None, dropout_p=0.5):
-        self.forward_calls += 1
-        return Tensor(self.probs.copy()), None
+    def forward(self, samples, mode="eval", rng=None, dropout_p=0.5):
+        self.samples_seen += len(samples)
+        return Tensor(np.repeat(self.probs, len(samples), axis=1)), None
 
-    def predict_label(self, sample):
-        return int(self.probs[1, 0] >= 0.5)
+    def predict_labels(self, samples):
+        return [int(self.probs[1, 0] >= 0.5)] * len(samples)
 
 
 def test_sample_target():
@@ -57,49 +57,56 @@ def test_sample_target():
 
 
 def test_batch_loss_matches_hand_value():
-    y_hats = [Tensor([[0.2], [0.8]]), Tensor([[0.6], [0.4]])]
-    loss = batch_loss(y_hats, [1, 0])
+    probs = Tensor([[0.2, 0.6], [0.8, 0.4]])
+    loss = batch_loss(probs, [1, 0])
     expected = -(math.log(0.8) + math.log(0.6)) / 2
     assert loss.item() == pytest.approx(expected, rel=1e-12)
+    # a list of (2, 1) columns is the same batch
+    columns = [Tensor([[0.2], [0.8]]), Tensor([[0.6], [0.4]])]
+    assert batch_loss(columns, [1, 0]).item() == loss.item()
 
 
 def test_batch_loss_clamps_zero_probabilities(caplog):
     with caplog.at_level("WARNING"):
-        loss = batch_loss([Tensor([[1.0], [0.0]])], [1])
+        loss = batch_loss(Tensor([[1.0], [0.0]]), [1])
     assert math.isfinite(loss.item())
     assert loss.item() == pytest.approx(-math.log(1e-12))
     assert any("clamped" in r.message for r in caplog.records)
 
 
 def test_batch_loss_gradients_with_a_clamped_probability():
-    y_hats = [Tensor([[0.3], [0.7]]), Tensor([[0.9], [0.1]]),
-              Tensor([[1.0 - 1e-13], [1e-13]]), Tensor([[0.45], [0.55]])]
+    probs = Tensor([[0.3, 0.9, 1.0 - 1e-13, 0.45], [0.7, 0.1, 1e-13, 0.55]])
     labels = [1, 0, 1, 1]
 
     def loss():
         with Tape() as tape:
-            out = batch_loss(y_hats, labels)
+            out = batch_loss(probs, labels)
         return tape, out
 
     tape, out = loss()
     assert len(tape) == 1
     assert tape.replay()
-    grads = backward(tape, out)
-    np.testing.assert_array_equal(grads.wrt(y_hats[2]), np.zeros((2, 1)))
-    for y_hat in y_hats:
+    grad = backward(tape, out).wrt(probs)
+    np.testing.assert_array_equal(grad[:, 2], np.zeros(2))
+    for k in range(4):
         # a step small enough to stay below the floor on the clamped entry
-        eps = 1e-14 if y_hat is y_hats[2] else 1e-5
-        fd = fd_gradient(lambda: loss()[1].item(), y_hat.data, eps=eps)
-        assert max_rel_err(fd, grads.wrt(y_hat)) < 1e-6
+        eps = 1e-14 if k == 2 else 1e-5
+        fd = fd_gradient(lambda: loss()[1].item(), probs.data, eps=eps,
+                         coords=[k, 4 + k])
+        assert max_rel_err(fd, grad) < 1e-6
 
 
 def test_batch_loss_errors():
     with pytest.raises(UsageError):
         batch_loss([], [])
     with pytest.raises(UsageError):
-        batch_loss([Tensor([[0.5], [0.5]])], [0, 1])
+        batch_loss(Tensor(np.zeros((2, 0))), [])
     with pytest.raises(UsageError):
-        batch_loss([Tensor([[0.5], [0.5]])], [2])
+        batch_loss(Tensor([[0.5], [0.5]]), [0, 1])
+    with pytest.raises(UsageError):
+        batch_loss(Tensor([[0.5], [0.5]]), [2])
+    with pytest.raises(ShapeError):
+        batch_loss(Tensor([[0.5, 0.5]]), [0, 1])
 
 
 def test_evaluate_report():
@@ -179,7 +186,7 @@ def test_every_sample_trains_each_epoch_including_short_batch():
     train(stub, samples, samples, cfg, Rng(0),
           dev_eval=lambda m, d, e: 0.5)
     # patience 1 with a flat score stops after epoch 2
-    assert stub.forward_calls == 2 * len(samples)
+    assert stub.samples_seen == 2 * len(samples)
 
 
 def test_non_finite_loss_raises_training_error():
