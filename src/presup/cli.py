@@ -18,6 +18,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, apply_overrides, load_config_dict
 from .errors import ParseError, UsageError
 from .extraction import parse_corpus, read_samples, run_extraction, write_samples
+from .fileio import atomic_write
 from .metrics import contingency, mcnemar
 from .models import VARIANTS
 from .rng import Rng
@@ -39,9 +40,7 @@ def _load_run_config(args) -> RunConfig:
 
 def _write_json(path: Path, doc: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, ensure_ascii=False, indent=2)
-        f.write("\n")
+    atomic_write(path, lambda f: f.write(json.dumps(doc, ensure_ascii=False, indent=2) + "\n"))
 
 
 def cmd_extract(args) -> int:
@@ -119,9 +118,8 @@ def cmd_train(args) -> int:
                            "best_dev_accuracy": result.best_accuracy})
     history_path = out / "reports" / f"history_{variant}_{cfg.train.dataset}.jsonl"
     history_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(history_path, "w", encoding="utf-8") as f:
-        for record in result.history:
-            f.write(json.dumps(record.to_dict(), separators=(",", ":")) + "\n")
+    atomic_write(history_path, lambda f: f.writelines(
+        json.dumps(record.to_dict(), separators=(",", ":")) + "\n" for record in result.history))
     print(f"{variant} best dev accuracy={result.best_accuracy:.4f} "
           f"(epoch {result.best_epoch}) -> {ckpt_path}")
     return 0

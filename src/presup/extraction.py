@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from .config import ExtractionConfig
 from .errors import ParseError, UsageError
+from .fileio import atomic_write
 from .rng import Rng
 
 MARKER = "@@@@"
@@ -412,12 +413,13 @@ def split_dataset(samples: list, cfg: ExtractionConfig, rng: Rng) -> DatasetSpli
 
 
 def write_samples(path, samples) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    def write(f):
         for s in samples:
             record = {"label": s.label, "tokens": s.tokens, "pos": s.pos,
                       "section": s.section}
             f.write(json.dumps(record, ensure_ascii=False, separators=(",", ":")))
             f.write("\n")
+    atomic_write(path, write)
 
 
 def read_samples(path) -> list:

@@ -9,6 +9,8 @@ with ``state()`` and reads it back with ``from_state()``.
 
 from __future__ import annotations
 
+import base64
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -310,15 +312,49 @@ def _activation(name: str):
 # checkpoint state: each variant writes and reads its own part of a checkpoint
 
 
+ARRAY_DTYPE = "<f8"  # checkpoint arrays are little-endian float64 on every host
+
+
 def _array_payload(arr: np.ndarray) -> dict:
-    return {"shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
+    """A checkpoint array: its shape and the base64 of its float64 bytes."""
+    raw = np.ascontiguousarray(arr, dtype=ARRAY_DTYPE).tobytes()
+    return {"shape": list(arr.shape), "dtype": ARRAY_DTYPE,
+            "b64": base64.b64encode(raw).decode("ascii")}
 
 
 def _array_from(payload, name: str) -> np.ndarray:
+    """Inverse of _array_payload, for the checkpoint field ``name``. A v1
+    payload holds a "data" list of floats instead of dtype and b64, and v1
+    logreg weights are a bare list. A malformed payload is a UsageError."""
+    if isinstance(payload, list):
+        payload = {"shape": [len(payload)], "data": payload}
+
+    def get(key):
+        if not isinstance(payload, dict) or key not in payload:
+            raise UsageError(f"field {name!r}: missing key {key!r}")
+        return payload[key]
+
+    shape = get("shape")
+    if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+        raise UsageError(f"field {name!r}: shape {shape!r} is not a list of sizes")
+    if "data" in payload:
+        try:
+            return np.array(payload["data"], dtype=np.float64).reshape(shape)
+        except (TypeError, ValueError) as e:
+            raise UsageError(f"field {name!r}: data is not {shape} floats ({e})") from None
+    if get("dtype") != ARRAY_DTYPE:
+        raise UsageError(f"field {name!r}: dtype {payload['dtype']!r}, "
+                         f"but only {ARRAY_DTYPE!r} is read")
     try:
-        return np.array(payload["data"], dtype=np.float64).reshape(payload["shape"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise UsageError(f"field {name!r}: not a shape/data array ({e})") from None
+        raw = base64.b64decode(get("b64"), validate=True)
+    except (TypeError, ValueError) as e:  # binascii.Error is a ValueError
+        raise UsageError(f"field {name!r}: b64 is not base64 ({e})") from None
+    size = 8 * math.prod(shape)
+    if len(raw) != size:
+        raise UsageError(f"field {name!r}: b64 holds {len(raw)} bytes, "
+                         f"but shape {shape} needs {size}")
+    # astype copies: a writable array in the host's byte order, not a view of raw
+    return np.frombuffer(raw, dtype=ARRAY_DTYPE).astype(np.float64).reshape(shape)
 
 
 def _field(doc, name: str):
@@ -675,18 +711,17 @@ class LogRegModel:
     def state(self) -> dict:
         return {"config": _cfg_dict(self.cfg),
                 "features": sorted(self.feature_index, key=self.feature_index.get),
-                "weights": self.w.tolist(), "bias": self.b}
+                "weights": _array_payload(self.w), "bias": self.b}
 
     @classmethod
     def from_state(cls, doc) -> "LogRegModel":
         model = cls(_config_from(doc))
         features = _field(doc, "features")
         model.feature_index = {feat: i for i, feat in enumerate(features)}
-        weights = _field(doc, "weights")
-        if len(weights) != len(features):
-            raise UsageError(f"field 'weights': {len(weights)} weights for "
+        model.w = _array_from(_field(doc, "weights"), "weights")
+        if model.w.shape != (len(features),):
+            raise UsageError(f"field 'weights': shape {model.w.shape} for "
                              f"{len(features)} features")
-        model.w = np.array(weights, dtype=np.float64)
         model.b = float(_field(doc, "bias"))
         return model
 

@@ -100,7 +100,7 @@ def parse_vector_file(path, dim: int | None = None):
                 raise ParseError("vector line needs a token and values", line=lineno)
             token, values = parts[0], parts[1:]
             try:
-                vec = np.array([float(v) for v in values], dtype=np.float64)
+                vec = np.array(values, dtype=np.float64)
             except ValueError:
                 raise ParseError(f"non-numeric vector value for {token!r}", line=lineno) from None
             if dim is None:

@@ -1,3 +1,4 @@
+import base64
 import json
 import re
 
@@ -631,6 +632,14 @@ def _edit(mutate):
     return corrupt
 
 
+def _b64(values) -> str:
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _values(payload) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(payload["b64"]), dtype="<f8")
+
+
 def test_checkpoint_missing_parameter_is_usage_error(tmp_path, capsys):
     rc, err, path = _eval_malformed(tmp_path, capsys, "wp",
                                     _edit(lambda d: d["params"].pop("out_b")))
@@ -640,8 +649,8 @@ def test_checkpoint_missing_parameter_is_usage_error(tmp_path, capsys):
 
 def test_checkpoint_misshaped_parameter_is_usage_error(tmp_path, capsys):
     def shrink(doc):
-        doc["params"]["out_W"]["shape"] = [2, 4]
-        doc["params"]["out_W"]["data"] = doc["params"]["out_W"]["data"][:8]
+        out_W = doc["params"]["out_W"]
+        out_W.update(shape=[2, 4], b64=_b64(_values(out_W)[:8]))
     rc, err, path = _eval_malformed(tmp_path, capsys, "wp", _edit(shrink))
     assert rc == 2
     assert path in err and "params.out_W" in err
@@ -655,17 +664,32 @@ def test_checkpoint_truncated_file_is_usage_error(tmp_path, capsys):
 
 
 def test_checkpoint_logreg_weight_count_is_usage_error(tmp_path, capsys):
-    rc, err, path = _eval_malformed(tmp_path, capsys, "logreg",
-                                    _edit(lambda d: d.update(weights=d["weights"][3:])))
+    def drop_three(doc):
+        weights = _values(doc["weights"])[3:]
+        doc["weights"].update(shape=[len(weights)], b64=_b64(weights))
+    rc, err, path = _eval_malformed(tmp_path, capsys, "logreg", _edit(drop_three))
     assert rc == 2
     assert path in err and "weights" in err
 
 
+@pytest.mark.parametrize("key,corrupt", [
+    ("b64", lambda p: p.update(b64="*" + p["b64"][1:])),    # not in the base64 alphabet
+    ("dtype", lambda p: p.update(dtype="<f4")),
+    ("b64", lambda p: p.update(b64=p["b64"][:48])),          # whole quads, too few bytes
+    ("b64", lambda p: p.pop("b64")),
+], ids=["alphabet", "dtype", "truncated", "missing"])
+def test_checkpoint_malformed_array_payload_is_usage_error(key, corrupt, tmp_path, capsys):
+    rc, err, path = _eval_malformed(tmp_path, capsys, "wp",
+                                    _edit(lambda d: corrupt(d["params"]["out_W"])))
+    assert rc == 2
+    assert path in err and "'params.out_W'" in err and key in err
+
+
 @pytest.mark.parametrize("variant,mutate,field", [
     ("wp", lambda d: d["params"].update(extra_W=d["params"]["out_b"]), "params.extra_W"),
-    ("lstm", lambda d: d["params"]["dense_b"].pop("data"), "params.dense_b"),
+    ("lstm", lambda d: d["params"]["dense_b"].pop("b64"), "params.dense_b"),
     ("cnn", lambda d: d["embeddings"].update(shape=[d["embeddings"]["shape"][0], 2],
-                                             data=[0.0] * 2 * d["embeddings"]["shape"][0]),
+                                             b64=_b64([0.0] * 2 * d["embeddings"]["shape"][0])),
      "embeddings"),
     ("logreg", lambda d: d["config"].update(variant="svm"), "config"),
     ("mfc", lambda d: d.update(majority=None), "majority"),
@@ -679,6 +703,64 @@ def test_checkpoint_fields_are_validated(variant, mutate, field, tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(UsageError, match=f"{re.escape(str(path))}: .*'{field}'"):
         load_checkpoint(path)
+
+
+# Written by the v1 writer (float lists); the probabilities were recorded
+# from the v1 code. A v1 file must keep loading to the same model.
+V1_PROBE = [
+    Sample("again", ["we", "go", MARKER, "run", "fast", "."],
+           ["PRP", "VB", MARKER, "VB", "RB", "."], "2"),
+    Sample("none", ["he", "eats", MARKER, "runs", "home", "now", "."],
+           ["PRP", "VBZ", MARKER, "VBZ", "NN", "RB", "."], "3"),
+    Sample("again", ["cue", MARKER, "verb"], ["N", MARKER, "V"], "0"),
+    Sample("none", ["other", MARKER, "verb"], ["N", MARKER, "V"], "0"),
+]
+V1_PROBA = {
+    "wp": [[0.5000053811413062, 0.4999946188586938],
+           [0.5000102484852819, 0.49998975151471814],
+           [0.5000141238219594, 0.4999858761780406],
+           [0.5000141238219594, 0.4999858761780406]],
+    "logreg": [[0.4999999999999999, 0.5000000000000001],
+               [0.4999999999999999, 0.5000000000000001],
+               [0.010366980458254016, 0.989633019541746],
+               [0.9896330195417459, 0.010366980458254118]],
+}
+
+
+def _v1_arrays(doc) -> dict:
+    if doc["variant"] == "logreg":
+        return {"weights": np.array(doc["weights"], dtype=np.float64)}
+    arrays = {"embeddings": doc["embeddings"], **doc["params"]}
+    return {name: np.array(p["data"], dtype=np.float64).reshape(p["shape"])
+            for name, p in arrays.items()}
+
+
+def _model_arrays(model) -> dict:
+    if isinstance(model, LogRegModel):
+        return {"weights": model.w}
+    return {"embeddings": model.embeddings.matrix,
+            **{name: t.data for name, t in model.params.items()}}
+
+
+@pytest.mark.parametrize("variant", ["wp", "logreg"])
+def test_v1_checkpoint_still_loads(variant, data_dir, tmp_path):
+    v1_path = data_dir / f"checkpoint_v1_{variant}.json"
+    v1 = json.loads(v1_path.read_text(encoding="utf-8"))
+    assert v1["format"] == "presup-checkpoint-v1"
+    model, dataset_id = load_checkpoint(v1_path)
+    assert dataset_id == "all"
+    # one thread and the same arithmetic as the v1 code; the tolerance only
+    # allows for another BLAS kernel's summation order
+    for sample, expected in zip(V1_PROBE, V1_PROBA[variant]):
+        np.testing.assert_allclose(model.predict_proba(sample), expected, rtol=1e-12, atol=0)
+    # v1 -> load -> save as v2 -> load keeps every array bit for bit
+    save_checkpoint(tmp_path / "v2.json", model, dataset_id="all")
+    assert json.loads((tmp_path / "v2.json").read_text())["format"] == "presup-checkpoint-v2"
+    reloaded, _ = load_checkpoint(tmp_path / "v2.json")
+    expected, got = _v1_arrays(v1), _model_arrays(reloaded)
+    assert set(got) == set(expected)
+    for name, arr in expected.items():
+        assert got[name].shape == arr.shape and got[name].tobytes() == arr.tobytes(), name
 
 
 def test_param_store_rejects_unknown_names():

@@ -60,6 +60,24 @@ def test_parse_vector_file_errors(tmp_path):
         parse_vector_file(empty)
 
 
+# Lines split on single spaces, so a value never starts with one; "\t1" stands
+# in for leading whitespace and "" is the field that a double space leaves.
+@pytest.mark.parametrize("text", ["abc", "nan", "1e400", "0x1p3", "1_000", "\t1",
+                                  "1\r", "-0", "inf", ""])
+def test_parse_vector_file_reads_values_as_float_does(text, tmp_path):
+    path = tmp_path / "vectors.txt"
+    path.write_text(f"a 1.0 2.0\nb 3.0 {text}\n", encoding="utf-8")
+    try:
+        expected = float(text)
+    except ValueError:
+        with pytest.raises(ParseError, match="line 2.*non-numeric"):
+            parse_vector_file(path)
+        return
+    vectors, _ = parse_vector_file(path)
+    np.testing.assert_array_equal(vectors["b"], [3.0, expected])
+    assert np.signbit(vectors["b"][1]) == np.signbit(expected)
+
+
 def test_load_embeddings_mixes_known_and_random(data_dir):
     samples = [Sample("again", ["go", "mystery", MARKER, "park"],
                       ["V", "N", MARKER, "N"], "2")]
