@@ -78,12 +78,14 @@ def _batch_lengths(lengths, cols: int) -> tuple:
 
 
 def embed_sequence(samples, vocab: Vocab, embeddings: EmbeddingTable,
-                   cfg: ModelConfig, params: ParamStore | None = None) -> Tensor:
+                   cfg: ModelConfig, params: ParamStore | None = None,
+                   steps: int | None = None) -> Tensor:
     """Rows are word vectors, optionally concatenated with a POS feature
-    (one-hot or learned 40-dim embedding), for the padded batch: row b*T + t
-    is token t of sample b. Padded rows use id 0 of each table."""
+    (one-hot or learned 40-dim embedding), for the batch padded to T = steps
+    rows per sample (default: its longest sample): row b*T + t is token t of
+    sample b. Padded rows use id 0 of each table."""
     batch = _as_batch(samples)
-    steps = max(len(s.tokens) for s in batch)
+    steps = steps or max(len(s.tokens) for s in batch)
     ids = np.zeros((len(batch), steps), dtype=np.intp)
     for row, sample in zip(ids, batch):
         row[:len(sample.tokens)] = vocab.token_ids(sample.tokens)
@@ -125,7 +127,8 @@ def lstm_sequence(X: Tensor, W: Tensor, b: Tensor, reverse: bool,
     so the reverse direction starts at each sample's own last token. The
     closed-form vector-Jacobian product runs backpropagation through time
     with the gate gradients masked the same way, then forms dW as two GEMMs
-    over the stacked gate gradients.
+    over the stacked gate gradients; dX is skipped when X needs no gradient
+    (frozen word vectors).
     """
     s = W.shape[0] // 4
     rows, n = X.shape
@@ -164,7 +167,7 @@ def lstm_sequence(X: Tensor, W: Tensor, b: Tensor, reverse: bool,
 
     out_data, h_prev, cache = fwd_full()
 
-    def vjp(grad):
+    def vjp(grad, needs):
         W_x, W_h = W.data[:, :n], W.data[:, n:]
         grad = grad.reshape(s, B, steps)
         d_a = np.zeros((B, steps, 4 * s))
@@ -188,35 +191,63 @@ def lstm_sequence(X: Tensor, W: Tensor, b: Tensor, reverse: bool,
                 dc = dc_t * f
         d_a = d_a.reshape(rows, 4 * s)
         d_W = np.hstack([d_a.T @ X.data, d_a.T @ h_prev.reshape(rows, s)])
-        return d_a @ W_x, d_W, d_a.sum(axis=0)[:, None]
+        return d_a @ W_x if needs[0] else None, d_W, d_a.sum(axis=0)[:, None]
 
     return T._record(Tensor(out_data), (X, W, b), lambda: fwd_full()[0], vjp)
 
 
-def conv_rows(X: Tensor, W: Tensor, width: int) -> Tensor:
-    """1-D convolution of the rows of X ((L, n)) with W ((width*n, maps)) as
-    one fused tape node: out = sum_j X[j : j+m] @ W[j*n : (j+1)*n] for
-    m = L - width + 1, summed in ascending j over views of X and W."""
-    steps, n = X.shape
+def conv_max_pool(X: Tensor, W: Tensor, b: Tensor, width: int, steps: int) -> Tensor:
+    """Convolution, bias, relu and max-over-time pooling of a padded batch
+    as one fused tape node. X is (B*steps, n), row b*steps + t = step t of
+    sample b; W is (width*n, maps) and b is (1, maps).
+
+    The window at t < m = steps - width + 1 of sample b scores
+    sum_j X[b*steps + t + j] @ W[j*n : (j+1)*n] + b, summed in ascending j
+    from one GEMM of every row of X against W laid out as (n, width*maps).
+    The output is (maps, B): the relu of each map's highest window score.
+    Windows over padded rows count like any other. The gradient goes to the
+    first window that reaches the maximum, where that maximum is positive;
+    dW and dX are gathered from those windows alone, through a sparse
+    (maps, B*steps) selection matrix.
+    """
+    rows, n = X.shape
+    maps = W.shape[1]
+    B = rows // steps
     m = steps - width + 1
-    if W.shape[0] != width * n or m < 1:
-        raise ShapeError(f"conv_rows: width {width} over {X.shape} with W {W.shape}")
+    if W.shape[0] != width * n or b.shape != (1, maps) or B * steps != rows or m < 1:
+        raise ShapeError(f"conv_max_pool: width {width} over {X.shape} in samples of "
+                         f"{steps} rows, with W {W.shape} and b {b.shape}")
 
-    def fwd():
-        acc = X.data[0:m] @ W.data[0:n]
+    def fwd_full():
+        by_shift = W.data.reshape(width, n, maps).transpose(1, 0, 2).reshape(n, width * maps)
+        P = (X.data @ by_shift).reshape(B, steps, width, maps)
+        acc = P[:, 0:m, 0].copy()
         for j in range(1, width):
-            acc += X.data[j:j + m] @ W.data[j * n:(j + 1) * n]
-        return acc
+            acc += P[:, j:j + m, j]
+        acc += b.data
+        first = acc.argmax(axis=1)  # (B, maps)
+        top = np.take_along_axis(acc, first[:, None], axis=1)[:, 0]
+        return np.maximum(top, 0.0).T.copy(), first.T, top.T > 0.0
 
-    def vjp(g):
-        d_X = np.zeros_like(X.data)
-        d_W = np.empty_like(W.data)
-        for j in range(width - 1, -1, -1):
-            d_X[j:j + m] += g @ W.data[j * n:(j + 1) * n].T
-            d_W[j * n:(j + 1) * n] = X.data[j:j + m].T @ g
-        return d_X, d_W
+    out, first, positive = fwd_full()
+    starts = first + np.arange(B) * steps  # (maps, B): first row of each winning window
+    indptr = np.arange(0, maps * B + 1, B)
 
-    return T._record(Tensor(fwd()), (X, W), fwd, vjp)
+    def vjp(g, needs):
+        g = np.where(positive, g, 0.0)
+        d_X = np.zeros_like(X.data) if needs[0] else None
+        d_W = np.empty_like(W.data) if needs[1] else None
+        for j in range(width):
+            # row k picks row j of map k's winning window in every sample
+            pick = scipy.sparse.csr_matrix((g.ravel(), (starts + j).ravel(), indptr),
+                                           shape=(maps, rows))
+            if needs[1]:
+                d_W[j * n:(j + 1) * n] = (pick @ X.data).T
+            if needs[0]:
+                d_X += pick.T @ W.data[j * n:(j + 1) * n].T
+        return d_X, d_W, g.sum(axis=1)[None, :]
+
+    return T._record(Tensor(out), (X, W, b), lambda: fwd_full()[0], vjp)
 
 
 def _masked_softmax(scores: np.ndarray, axis: int) -> np.ndarray:
@@ -268,7 +299,7 @@ def attention_weights(H: Tensor, lengths=None):
     if np.max(np.abs(alpha - alt)) > 1e-10:
         raise ArithmeticError("attention dual-form mismatch: M_col beta != M_row^T beta")
 
-    def vjp(g):
+    def vjp(g, _):
         g = g.T[:, :, None]  # (B, T, 1)
         d_col = g * beta[:, None, :]
         d_beta = M_col.transpose(0, 2, 1) @ g  # (B, T, 1)
@@ -296,9 +327,10 @@ def pool_states(H: Tensor, alpha: Tensor) -> Tensor:
     def fwd():
         return (states @ alpha.data.T[:, :, None])[:, :, 0].T.copy()
 
-    def vjp(g):
+    def vjp(g, needs):
         d_H = g[:, :, None] * alpha.data.T[None, :, :]
-        d_alpha = (states.transpose(0, 2, 1) @ g.T[:, :, None])[:, :, 0].T
+        d_alpha = (states.transpose(0, 2, 1) @ g.T[:, :, None])[:, :, 0].T \
+            if needs[1] else None  # fixed weights (mean pooling) need none
         return d_H.reshape(width, cols), d_alpha
 
     return T._record(Tensor(fwd()), (H, alpha), fwd, vjp)
@@ -306,6 +338,18 @@ def pool_states(H: Tensor, alpha: Tensor) -> Tensor:
 
 def _activation(name: str):
     return {"relu": T.relu, "tanh": T.tanh}[name]
+
+
+def _dropout(z: Tensor, mode: str, rng: Rng | None, p: float) -> Tensor:
+    """Inverted dropout of a (d, B) tensor in train mode. One (B, d) draw:
+    row b is the (d, 1) mask sample b would draw on its own."""
+    if mode not in ("train", "eval"):
+        raise UsageError(f"mode must be 'train' or 'eval', got {mode!r}")
+    if mode == "eval" or p == 0.0:
+        return z
+    if rng is None:
+        raise UsageError("train mode with dropout needs an Rng")
+    return T.mul(z, Tensor(dropout_mask(z.shape[::-1], p, rng).data.T))
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +551,6 @@ class RecurrentClassifier(NeuralModel):
         """Class probabilities of a batch as a (2, B) tensor, one column per
         sample; a single Sample is a batch of one. alpha_override holds
         (T, B) pooling weights; return_trace needs a batch of one."""
-        if mode not in ("train", "eval"):
-            raise UsageError(f"mode must be 'train' or 'eval', got {mode!r}")
         batch = _as_batch(samples)
         if return_trace and len(batch) != 1:
             raise UsageError("return_trace needs a single sample")
@@ -529,12 +571,7 @@ class RecurrentClassifier(NeuralModel):
             alpha = Tensor((np.arange(steps)[:, None] < lengths) / lengths)
         c = pool_states(H, alpha)
         z = _activation(cfg.activation)(T.add(T.matmul(p["dense_W"], c), p["dense_b"]))
-        if mode == "train" and dropout_p > 0.0:
-            if rng is None:
-                raise UsageError("train mode with dropout needs an Rng")
-            # one (B, d) draw: row b is the (d, 1) mask sample b drew on its own
-            mask = dropout_mask((len(batch), z.shape[0]), dropout_p, rng)
-            z = T.mul(z, Tensor(mask.data.T))
+        z = _dropout(z, mode, rng, dropout_p)
         logits = T.add(T.matmul(p["out_W"], z), p["out_b"])
         y_hat = T.softmax_axis(logits, "cols")
         if not return_trace:
@@ -583,33 +620,23 @@ class CnnModel(NeuralModel):
 
     def forward(self, samples, mode: str = "eval", rng: Rng | None = None,
                 dropout_p: float = 0.5):
-        """Class probabilities of a batch as a (2, B) tensor. Each sample
-        runs on its own, padded to max_len; one concat joins the columns."""
-        return T.concat([self._column(s, mode, rng, dropout_p)
-                         for s in _as_batch(samples)], axis=1), None
-
-    def _column(self, sample: Sample, mode: str, rng: Rng | None,
-                dropout_p: float) -> Tensor:
-        cfg = self.cfg
-        n = input_width(cfg, self.vocab)
-        X = embed_sequence(sample, self.vocab, self.embeddings, cfg, self.params)
-        steps = X.shape[0]
-        if steps > cfg.max_len:
+        """Class probabilities of a batch as a (2, B) tensor, one column per
+        sample; a single Sample is a batch of one. Every sample is padded to
+        max_len with zero rows, and each width is one conv_max_pool node
+        over the whole batch."""
+        batch = _as_batch(samples)
+        cfg, p = self.cfg, self.params
+        lengths = np.array([len(s.tokens) for s in batch])
+        if lengths.max() > cfg.max_len:
             raise UsageError(f"sample longer than max_len={cfg.max_len}")
-        if steps < cfg.max_len:
-            X = T.concat([X, Tensor(np.zeros((cfg.max_len - steps, n)))], axis=0)
-        pooled = []
-        for w in cfg.cnn_widths:
-            A = T.relu(T.add(conv_rows(X, self.params[f"conv{w}_W"], w),
-                             self.params[f"conv{w}_b"]))
-            pooled.append(T.max_axis(A, "cols"))
-        feat = T.transpose(T.concat(pooled, axis=1))
-        if mode == "train" and dropout_p > 0.0:
-            if rng is None:
-                raise UsageError("train mode with dropout needs an Rng")
-            feat = T.mul(feat, dropout_mask(feat.shape, dropout_p, rng))
-        logits = T.add(T.matmul(self.params["out_W"], feat), self.params["out_b"])
-        return T.softmax_axis(logits, "cols")
+        X = embed_sequence(batch, self.vocab, self.embeddings, cfg, p, steps=cfg.max_len)
+        real = np.arange(cfg.max_len) < lengths[:, None]
+        X = T.mul(X, Tensor(real.reshape(-1, 1)))  # padded rows hold id 0, not zeros
+        feat = T.concat([conv_max_pool(X, p[f"conv{w}_W"], p[f"conv{w}_b"], w, cfg.max_len)
+                         for w in cfg.cnn_widths], axis=0)
+        feat = _dropout(feat, mode, rng, dropout_p)
+        logits = T.add(T.matmul(p["out_W"], feat), p["out_b"])
+        return T.softmax_axis(logits, "cols"), None
 
     def predict_label(self, sample: Sample) -> int:
         return self.predict_labels([sample])[0]

@@ -3,7 +3,8 @@
 Every operation is a module-level function. When a :class:`Tape` is active
 (entered as a context manager), each op appends a node holding the output,
 the input tensors, a forward closure (for replay checks) and a vector-Jacobian
-product. :func:`backward` walks the tape in reverse, visiting each node once.
+product ``vjp(g, needs)``, where ``needs[i]`` says whether input i needs a
+gradient. :func:`backward` walks the tape in reverse, visiting each node once.
 
 Shapes are plain numpy shapes; model code keeps everything 2-D and represents
 vectors as single-column matrices.
@@ -105,7 +106,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(
         out, (a, b),
         lambda: a.data @ b.data,
-        lambda g: (g @ b.data.T, a.data.T @ g),
+        lambda g, needs: (g @ b.data.T if needs[0] else None,
+                          a.data.T @ g if needs[1] else None),
     )
 
 
@@ -123,7 +125,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record(
         out, (a, b),
         lambda: a.data + b.data,
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)),
+        lambda g, _: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)),
     )
 
 
@@ -132,7 +134,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _record(
         out, (a, b),
         lambda: a.data * b.data,
-        lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)),
+        lambda g, needs: (_unbroadcast(g * b.data, a.shape) if needs[0] else None,
+                          _unbroadcast(g * a.data, b.shape) if needs[1] else None),
     )
 
 
@@ -141,7 +144,7 @@ def tanh(x: Tensor) -> Tensor:
     return _record(
         out, (x,),
         lambda: np.tanh(x.data),
-        lambda g: (g * (1.0 - out.data ** 2),),
+        lambda g, _: (g * (1.0 - out.data ** 2),),
     )
 
 
@@ -156,7 +159,7 @@ def relu(x: Tensor) -> Tensor:
     return _record(
         out, (x,),
         lambda: np.maximum(x.data, 0.0),
-        lambda g: (g * (x.data > 0.0),),
+        lambda g, _: (g * (x.data > 0.0),),
     )
 
 
@@ -177,7 +180,7 @@ def concat(tensors, axis: int = 0) -> Tensor:
     sizes = [t.shape[axis % ndim] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
 
-    def vjp(g):
+    def vjp(g, _):
         return tuple(np.split(g, splits, axis=axis))
 
     return _record(out, tuple(tensors),
@@ -194,30 +197,11 @@ def _axis_index(axis: str, name: str) -> int:
     raise UsageError(f"{name}: axis must be 'rows' or 'cols', got {axis!r}")
 
 
-def max_axis(x: Tensor, axis: str) -> Tensor:
-    """Max within each row or column; gradient routes to the first argmax."""
-    ax = _axis_index(axis, "max_axis")
-    out = Tensor(x.data.max(axis=ax, keepdims=True))
-    idx = x.data.argmax(axis=ax, keepdims=True)
-
-    def vjp(g):
-        z = np.zeros_like(x.data)
-        np.put_along_axis(z, idx, g, axis=ax)
-        return (z,)
-
-    return _record(out, (x,), lambda: x.data.max(axis=ax, keepdims=True), vjp)
-
-
-def transpose(x: Tensor) -> Tensor:
-    out = Tensor(x.data.T.copy())
-    return _record(out, (x,), lambda: x.data.T.copy(), lambda g: (g.T,))
-
-
 def gather_rows(table: Tensor, indices) -> Tensor:
     idx = np.asarray(indices, dtype=np.intp)
     out = Tensor(table.data[idx])
 
-    def vjp(g):
+    def vjp(g, _):
         z = np.zeros_like(table.data)
         np.add.at(z, idx, g)
         return (z,)
@@ -237,7 +221,7 @@ def softmax_axis(x: Tensor, axis: str) -> Tensor:
 
     out = Tensor(fwd())
 
-    def vjp(g):
+    def vjp(g, _):
         s = out.data
         dot = (g * s).sum(axis=ax, keepdims=True)
         return (s * (g - dot),)
@@ -251,12 +235,16 @@ def softmax_axis(x: Tensor, axis: str) -> Tensor:
 
 class Gradients:
     """Gradient lookup keyed by tensor identity; missing tensors read as
-    zero (unreached parameters)."""
+    zero (unreached parameters). When backward() was given `wrt`, reading a
+    tensor outside it is a UsageError: its gradient was never computed."""
 
-    def __init__(self, by_id):
+    def __init__(self, by_id, wanted=None):
         self._by_id = by_id
+        self._wanted = wanted
 
     def wrt(self, t: Tensor) -> np.ndarray:
+        if self._wanted is not None and id(t) not in self._wanted:
+            raise UsageError(f"gradient of {t!r} was not requested from backward()")
         g = self._by_id.get(id(t))
         return np.zeros_like(t.data) if g is None else g
 
@@ -265,20 +253,36 @@ class Gradients:
         return {name: self.wrt(t) for name, t in store.trainable_items()}
 
 
-def backward(tape: Tape, loss: Tensor) -> Gradients:
-    """Exact reverse-mode gradients of a scalar loss recorded on `tape`."""
+def backward(tape: Tape, loss: Tensor, wrt=None) -> Gradients:
+    """Exact reverse-mode gradients of a scalar loss recorded on `tape`.
+
+    With wrt=None every node is walked and every input gets its gradient.
+    Given `wrt`, a collection of tensors, one forward sweep marks the tensors
+    that depend on them; the reverse walk skips unmarked nodes and calls each
+    VJP as vjp(g, needs), needs[i] telling whether input i is marked, so that
+    a VJP may return None for the others. The gradients of the tensors in
+    `wrt` are the same, bit for bit, as those of the full walk.
+    """
     if loss.data.size != 1:
         raise UsageError(f"backward: loss must be scalar, got shape {loss.shape}")
     if not any(n.out is loss for n in tape.nodes):
         raise UsageError("backward: loss was not produced on this tape")
+    wanted = None if wrt is None else frozenset(id(t) for t in wrt)
+    marked = set(wanted or ())
+    needs_of = []
+    for node in tape.nodes:
+        needs = tuple(wanted is None or id(t) in marked for t in node.inputs)
+        if any(needs):
+            marked.add(id(node.out))
+        needs_of.append(needs)
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(tape.nodes):
+    for node, needs in zip(reversed(tape.nodes), reversed(needs_of)):
         g_out = grads.get(id(node.out))
-        if g_out is None:
+        if g_out is None or not any(needs):
             continue
-        for t, g in zip(node.inputs, node.vjp(g_out)):
-            if g is None:
+        for t, need, g in zip(node.inputs, needs, node.vjp(g_out, needs)):
+            if g is None or not need:
                 continue
             prev = grads.get(id(t))
             grads[id(t)] = g if prev is None else prev + g
-    return Gradients(grads)
+    return Gradients(grads, wanted)

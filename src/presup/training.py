@@ -95,7 +95,7 @@ def batch_loss(probs, labels) -> Tensor:
     if clamped:
         logger.warning("batch_loss: %d probabilities clamped to %g", clamped, LOG_FLOOR)
 
-    def vjp(g):
+    def vjp(g, _):
         p = probs.data[where]
         d_probs = np.zeros_like(probs.data)
         d_probs[where] = -(g[0, 0] * scale) / np.maximum(p, LOG_FLOOR) * (p > LOG_FLOOR)
@@ -136,10 +136,10 @@ def train(model, train_set, dev_set, cfg: TrainConfig, rng: Rng,
 
     Per epoch: seeded shuffle, batches of cfg.batch_size (last short batch
     included), one forward of the whole batch in train mode, mean
-    cross-entropy, backward, clip, Adam step, then dev accuracy. Stops once
-    dev accuracy has not strictly improved for cfg.patience epochs; the
-    returned model carries the parameters of the best (earliest, on ties)
-    dev epoch.
+    cross-entropy, backward towards the trainable parameters only, clip,
+    Adam step, then dev accuracy. Stops once dev accuracy has not strictly
+    improved for cfg.patience epochs; the returned model carries the
+    parameters of the best (earliest, on ties) dev epoch.
 
     dev_eval(model, dev_set, epoch) -> accuracy may be injected for testing
     the stopping rule.
@@ -149,6 +149,7 @@ def train(model, train_set, dev_set, cfg: TrainConfig, rng: Rng,
     if not train_set or not dev_set:
         raise UsageError("train: empty train or dev split")
     state = AdamState(model.params, lr=cfg.lr)
+    trainable = [t for _, t in model.params.trainable_items()]
     shuffle_rng = rng.child("shuffle")
     dropout_rng = rng.child("dropout")
 
@@ -174,7 +175,7 @@ def train(model, train_set, dev_set, cfg: TrainConfig, rng: Rng,
                     f"batch starting at {start}; labels="
                     f"{[s.label for s in batch]}")
             loss_sum += loss_value * len(batch)
-            grads = backward(tape, loss).for_store(model.params)
+            grads = backward(tape, loss, wrt=trainable).for_store(model.params)
             grads = clip_gradients(grads, cfg.clip_lo, cfg.clip_hi)
             adam_step(model.params, grads, state)
         train_loss = loss_sum / len(train_set)

@@ -2,8 +2,12 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from presup.cli import main
+from presup.config import apply_overrides
+from presup.errors import UsageError
 
 
 def _write_config(tmp_path: Path, corpus_path: Path, dev_fraction=0.1,
@@ -58,6 +62,48 @@ def test_extract_set_override_changes_output(tmp_path, corpus_path):
     # a one-token backward window keeps at most one token before the marker
     for row in rows:
         assert row["tokens"].index("@@@@") <= 1
+
+
+_JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.text(max_size=5),
+                     lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+                     max_leaves=6)
+_KEY = st.lists(st.text("abcxyz_", min_size=1, max_size=3), min_size=1, max_size=3)
+
+
+def _get(d, parts):
+    for part in parts:
+        d = d[part]
+    return d
+
+
+@given(st.lists(st.tuples(_KEY, _JSON), max_size=5))
+def test_apply_overrides_sets_json_values_and_leaves_other_keys(items):
+    d, kept = {}, []
+    for parts, value in items:
+        try:
+            apply_overrides(d, [".".join(parts) + "=" + json.dumps(value)])
+        except UsageError:  # an earlier override made a prefix a non-object
+            continue
+        n = len(parts)
+        # a key that this one extends, or that extends it, has been replaced
+        kept = [(k, v) for k, v in kept if k[:n] != parts and parts[:len(k)] != k]
+        kept.append((parts, value))
+        for k, v in kept:
+            assert _get(d, k) == v
+
+
+@given(st.text(min_size=1).filter(lambda raw: not _is_json(raw)))
+def test_apply_overrides_keeps_non_json_values_as_strings(raw):
+    assert apply_overrides({"a": {"b": 1}}, ["a.c=" + raw]) == {"a": {"b": 1, "c": raw}}
+
+
+def _is_json(raw: str) -> bool:
+    try:
+        json.loads(raw)
+    except json.JSONDecodeError:
+        return False
+    return True
 
 
 def test_extract_usage_errors(tmp_path, corpus_path):

@@ -1,8 +1,12 @@
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from presup.config import ExtractionConfig
 from presup.errors import ParseError, UsageError
-from presup.extraction import (MARKER, Sample, _marker_problem, extract_positive,
+from presup.extraction import (MARKER, Document, Sample, _marker_problem, extract_positive,
                                filter_too, find_occurrences, parse_corpus, read_samples,
                                resolve_governor, run_extraction, split_dataset,
                                truncate_sample, validate_sample, write_samples)
@@ -223,6 +227,26 @@ def test_run_extraction_is_deterministic(corpus_docs):
     assert snapshot() == snapshot()
 
 
+def test_run_extraction_flattens_each_document_once_per_scan(corpus_docs, monkeypatch):
+    # one document holding every fixture sentence five times over: a
+    # flatten per window would call flat() dozens of times on it
+    sentences = [s for d in corpus_docs for s in d.sentences] * 5
+    docs = corpus_docs + [Document("big", "01", sentences)]
+    calls = Counter()
+    flat = Document.flat
+
+    def counted(doc):
+        calls[id(doc)] += 1
+        return flat(doc)
+
+    monkeypatch.setattr(Document, "flat", counted)
+    datasets, _ = run_extraction(docs, CFG, Rng(42))
+    assert len(_all_samples(datasets["all"])) > 30
+    # the positive scan and the negative scan each flatten a document at most once
+    assert calls[id(docs[-1])] <= 2
+    assert max(calls.values()) <= 2
+
+
 def test_run_extraction_seed_changes_split(corpus_docs):
     a, _ = run_extraction(corpus_docs, CFG, Rng(42))
     b, _ = run_extraction(corpus_docs, CFG, Rng(43))
@@ -261,6 +285,27 @@ def test_samples_round_trip(tmp_path, corpus_docs):
     back = read_samples(path)
     assert [(s.label, s.tokens, s.pos, s.section) for s in samples] == \
         [(s.label, s.tokens, s.pos, s.section) for s in back]
+
+
+_TEXT = st.text(max_size=6)
+_TOKEN = _TEXT.filter(lambda t: t != MARKER)
+
+
+@st.composite
+def _samples(draw):
+    """Samples read_samples accepts: one aligned marker, then a governor."""
+    before = draw(st.lists(st.tuples(_TOKEN, _TOKEN), max_size=4))
+    after = draw(st.lists(st.tuples(_TOKEN, _TOKEN), min_size=1, max_size=4))
+    pairs = before + [(MARKER, MARKER)] + after
+    return Sample(draw(_TEXT), [t for t, _ in pairs], [p for _, p in pairs], draw(_TEXT))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(_samples(), max_size=5))
+def test_samples_round_trip_property(tmp_path_factory, samples):
+    path = tmp_path_factory.mktemp("samples") / "samples.jsonl"
+    write_samples(path, samples)
+    assert read_samples(path) == samples
 
 
 def test_read_samples_errors(tmp_path):

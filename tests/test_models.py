@@ -15,7 +15,7 @@ from presup.config import MODEL_VARIANTS, ModelConfig
 from presup.errors import ShapeError, UsageError
 from presup.extraction import MARKER, Sample, write_samples
 from presup.models import (EVAL_CHUNK, VARIANTS, LogRegModel, MfcModel,
-                           attention_weights, conv_rows, embed_sequence, input_width,
+                           attention_weights, conv_max_pool, embed_sequence, input_width,
                            lstm_sequence, logreg_featurize, mfc_fit, mfc_predict,
                            param_count, pool_states)
 from presup.optim import ParamStore
@@ -109,47 +109,87 @@ def test_lstm_sequence_gradients():
         assert max_rel_err(fd, grads.wrt(t)) < 1e-6
 
 
-def test_conv_rows_matches_reference_bitwise():
-    rng = Rng(21)
-    steps, n, maps = 9, 4, 3
-    X = Tensor(rng.uniform(-1, 1, (steps, n)))
-    for width in (1, 3, 5):
-        W = Tensor(rng.uniform(-0.5, 0.5, (width * n, maps)))
-        m = steps - width + 1
-        expected = X.data[0:m].copy() @ W.data[0:n].copy()
-        for j in range(1, width):
-            expected = expected + X.data[j:j + m].copy() @ W.data[j * n:(j + 1) * n].copy()
-        out = conv_rows(X, W, width)
-        assert out.shape == (m, maps)
-        np.testing.assert_array_equal(out.data, expected)
+def _manual_conv_max_pool(X, W, b, width, steps, g):
+    """Straight-line reference, one sample, map and window at a time: the
+    pooled output and the gradients of sum(g * output) for X, W and b."""
+    n, maps = X.shape[1], W.shape[1]
+    B = X.shape[0] // steps
+    out = np.zeros((maps, B))
+    d_X, d_W, d_b = np.zeros_like(X), np.zeros_like(W), np.zeros_like(b)
+    for s in range(B):
+        rows = X[s * steps:(s + 1) * steps]
+        for k in range(maps):
+            best, at = -np.inf, 0
+            for t in range(steps - width + 1):
+                score = sum(rows[t + j] @ W[j * n:(j + 1) * n, k] for j in range(width))
+                if score + b[0, k] > best:  # strict: ties keep the first window
+                    best, at = score + b[0, k], t
+            out[k, s] = max(best, 0.0)
+            if best > 0.0:
+                for j in range(width):
+                    d_W[j * n:(j + 1) * n, k] += g[k, s] * rows[at + j]
+                    d_X[s * steps + at + j] += g[k, s] * W[j * n:(j + 1) * n, k]
+                d_b[0, k] += g[k, s]
+    return out, d_X, d_W, d_b
 
 
-def test_conv_rows_gradients():
-    rng = Rng(22)
-    steps, n, maps, width = 7, 3, 4, 3
-    X = Tensor(rng.uniform(-1, 1, (steps, n)))
-    W = Tensor(rng.uniform(-0.5, 0.5, (width * n, maps)))
-    proj = Tensor(rng.uniform(-1, 1, (maps, 2)))
-
-    def loss():
-        with Tape() as tape:
-            out = tape_sum(T.matmul(conv_rows(X, W, width), proj))
-        return tape, out
-
-    tape, out = loss()
-    grads = backward(tape, out)
+def _conv_max_pool_grads(X, W, b, width, steps, g):
+    with Tape() as tape:
+        out = conv_max_pool(X, W, b, width, steps)
+        loss = tape_sum(T.mul(out, Tensor(g)))
     assert tape.replay()
-    for t in (X, W):
-        fd = fd_gradient(lambda: loss()[1].item(), t.data)
-        assert max_rel_err(fd, grads.wrt(t)) < 1e-6
+    grads = backward(tape, loss)
+    return out, [grads.wrt(t) for t in (X, W, b)]
 
 
-def test_conv_rows_shape_errors():
-    X = Tensor(np.zeros((4, 3)))
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_conv_max_pool_matches_per_sample_reference(data):
+    # quarter-integer values: every sum is exact, so results must match
+    # bitwise, and equal window scores (ties) are common
+    B = data.draw(st.integers(1, 4), label="B")
+    width = data.draw(st.integers(1, 4), label="width")
+    steps = data.draw(st.integers(width, 7), label="steps")
+    lengths = data.draw(st.lists(st.integers(1, steps), min_size=B, max_size=B),
+                        label="lengths")
+    n = data.draw(st.integers(1, 4), label="n")
+    maps = data.draw(st.integers(1, 4), label="maps")
+    gen = np.random.default_rng(data.draw(st.integers(0, 2 ** 32), label="seed"))
+
+    def quarters(*shape):
+        return gen.integers(-4, 5, shape) / 4.0
+
+    X = quarters(B, steps, n)
+    X[np.arange(steps) >= np.array(lengths)[:, None]] = 0.0  # zero padding rows
+    X = Tensor(X.reshape(B * steps, n))
+    W, b, g = Tensor(quarters(width * n, maps)), Tensor(quarters(1, maps)), quarters(maps, B)
+    out, grads = _conv_max_pool_grads(X, W, b, width, steps, g)
+    expected = _manual_conv_max_pool(X.data, W.data, b.data, width, steps, g)
+    np.testing.assert_array_equal(out.data, expected[0])
+    for got, want in zip(grads, expected[1:]):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_conv_max_pool_tie_routes_gradient_to_first_window():
+    # rows 1 and 3 are equal, so the width-1 windows at t=1 and t=3 tie
+    X = Tensor(np.array([[0.0, 1.0], [2.0, 1.0], [0.5, 0.0], [2.0, 1.0], [0.0, 0.0]]))
+    W, b = Tensor(np.array([[1.0], [1.0]])), Tensor(np.zeros((1, 1)))
+    out, (d_X, d_W, d_b) = _conv_max_pool_grads(X, W, b, 1, 5, np.ones((1, 1)))
+    assert out.data[0, 0] == 3.0
+    np.testing.assert_array_equal(d_X[:, 0], [0.0, 1.0, 0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(d_W[:, 0], [2.0, 1.0])
+
+
+def test_conv_max_pool_shape_errors():
+    X, b = Tensor(np.zeros((8, 3))), Tensor(np.zeros((1, 2)))
     with pytest.raises(ShapeError):
-        conv_rows(X, Tensor(np.zeros((8, 2))), 3)  # W rows != width * n
+        conv_max_pool(X, Tensor(np.zeros((8, 2))), b, 3, 4)  # W rows != width * n
     with pytest.raises(ShapeError):
-        conv_rows(X, Tensor(np.zeros((15, 2))), 5)  # wider than the input
+        conv_max_pool(X, Tensor(np.zeros((15, 2))), b, 5, 4)  # wider than a sample
+    with pytest.raises(ShapeError):
+        conv_max_pool(X, Tensor(np.zeros((9, 2))), b, 3, 3)  # 8 rows are not 3-row samples
+    with pytest.raises(ShapeError):
+        conv_max_pool(X, Tensor(np.zeros((9, 2))), Tensor(np.zeros((2, 1))), 3, 4)
 
 
 def test_bilstm_shape_and_init():
@@ -364,7 +404,7 @@ def _mixed_batch(seed=0, lengths=MIXED_LENGTHS):
 
 
 @pytest.mark.parametrize("pos_mode", ["off", "one_hot", "embed"])
-@pytest.mark.parametrize("variant", ["wp", "lstm"])
+@pytest.mark.parametrize("variant", ["wp", "lstm", "cnn"])
 def test_mixed_length_batch_equals_batches_of_one(variant, pos_mode):
     _, _, model = _setup(variant, pos_mode=pos_mode, pos_dim=3, max_len=60)
     batch = _mixed_batch()
@@ -388,9 +428,13 @@ def test_batched_dropout_equals_sequential_forwards(variant):
     assert not np.allclose(y_hat.data, model.forward(batch)[0].data)
 
 
-@pytest.mark.parametrize("variant", ["wp", "lstm"])
+@pytest.mark.parametrize("variant", ["wp", "lstm", "cnn"])
 def test_gradients_through_a_mixed_length_batch(variant):
     _, _, model = _setup(variant, hidden_size=3, pos_mode="embed", pos_dim=2)
+    for w in model.cfg.cnn_widths if variant == "cnn" else ():
+        # a window over zero padding scores exactly the bias: off zero, it
+        # keeps the pooled maximum away from the relu kink
+        model.params[f"conv{w}_b"].data += 0.1
     batch = _mixed_batch(seed=2, lengths=[4, 1, 6, 2])
     labels = [sample_target(s) for s in batch]
     coords = np.random.default_rng(7)
@@ -408,6 +452,40 @@ def test_gradients_through_a_mixed_length_batch(variant):
         probe = coords.choice(p.data.size, size=min(p.data.size, 8), replace=False)
         fd = fd_gradient(lambda: loss()[1].item(), p.data, coords=probe)
         assert max_rel_err(fd, grads[name]) < 1e-4, name
+
+
+@pytest.mark.parametrize("pos_mode", ["off", "embed"])
+@pytest.mark.parametrize("variant", ["wp", "lstm", "cnn"])
+def test_backward_wrt_trainables_skips_frozen_inputs(variant, pos_mode):
+    _, _, model = _setup(variant, pos_mode=pos_mode, pos_dim=3, max_len=60,
+                         cnn_widths=(2, 3))
+    batch = _mixed_batch(seed=4, lengths=[5, 1, 9, 3])
+    with Tape() as tape:
+        y_hat, _ = model.forward(batch, mode="train", rng=Rng(2))
+        loss = batch_loss(y_hat, [sample_target(s) for s in batch])
+    full = backward(tape, loss).for_store(model.params)
+
+    # the LSTM and conv nodes take the embedded rows X first, a weight second
+    weights = [t for name, t in model.params.items()
+               if name.startswith(("lstm_", "conv")) and name.endswith("_W")]
+    seen = []
+    for node in tape.nodes:
+        if len(node.inputs) > 1 and any(node.inputs[1] is w for w in weights):
+            def spy(g, needs, vjp=node.vjp):
+                grads = vjp(g, needs)
+                seen.append((needs[0], grads[0]))
+                return grads
+            node.vjp = spy
+    pruned = backward(tape, loss, wrt=[t for _, t in model.params.trainable_items()])
+    for name, g in pruned.for_store(model.params).items():
+        assert g.tobytes() == full[name].tobytes(), name
+    # X holds only frozen word vectors unless a learned POS embedding is in it
+    assert len(seen) == len(weights)
+    for need, d_X in seen:
+        assert need == (pos_mode == "embed")
+        assert (d_X is None) == (pos_mode == "off")
+    with pytest.raises(UsageError, match="not requested"):
+        pruned.wrt(y_hat)
 
 
 @pytest.mark.parametrize("variant", ["wp", "cnn"])
@@ -482,13 +560,12 @@ def test_cnn_forward_shape_and_gradients():
 
 
 @pytest.mark.parametrize("variant, fixed, per_sample",
-                         [("wp", 13, 0), ("lstm", 12, 0), ("cnn", 2, 19)],
+                         [("wp", 13, 0), ("lstm", 12, 0), ("cnn", 10, 0)],
                          ids=["wp", "lstm", "cnn"])
 def test_training_step_tape_nodes(variant, fixed, per_sample):
     samples, _, model = _setup(variant)
     rng = Rng(4)
     for batch in (samples[:1], samples + samples[:1], samples * 3):
-        # samples are shorter than max_len, so the CNN pads each one
         with Tape() as tape:
             y_hat, _ = model.forward(batch, mode="train", rng=rng)
             batch_loss(y_hat, [sample_target(s) for s in batch])

@@ -72,7 +72,6 @@ def test_broadcast_gradients(rng):
 
 def test_unary_gradients(rng):
     check_unary(T.tanh, _rand(rng, 3, 2))
-    check_unary(T.transpose, _rand(rng, 3, 2))
 
 
 def test_relu_gradient(rng):
@@ -87,21 +86,6 @@ def test_concat_gradients(rng):
     check_binary(lambda u, v: T.concat([u, v], axis=0), a, b)
     c, d = _rand(rng, 3, 2), _rand(rng, 3, 5)
     check_binary(lambda u, v: T.concat([u, v], axis=1), c, d)
-
-
-def test_max_axis_gradient_routes_to_argmax(rng):
-    x = _rand(rng, 4, 3)
-    with Tape() as tape:
-        out = _scalarize(T.max_axis(x, "cols"))
-    g = backward(tape, out).wrt(x)
-    # non-argmax entries get exactly zero gradient
-    for j in range(3):
-        winner = x.data[:, j].argmax()
-        for i in range(4):
-            if i != winner:
-                assert g[i, j] == 0.0
-    fd = fd_gradient(lambda: _scalarize(T.max_axis(x, "cols")).item(), x.data)
-    assert max_rel_err(fd, g) < TOL
 
 
 def test_gather_gradients(rng):
@@ -156,7 +140,7 @@ def test_nested_tapes_record_to_innermost(rng):
         T.tanh(x)
         with Tape() as inner:
             T.relu(x)
-        T.transpose(x)
+        T.relu(x)
     assert len(inner) == 1
     assert len(outer) == 2
 
@@ -189,7 +173,7 @@ def test_shape_errors():
     with pytest.raises(ShapeError):
         T.mul(b, a)
     with pytest.raises(UsageError):
-        T.max_axis(a, "diagonal")
+        T.softmax_axis(a, "diagonal")
     with pytest.raises(UsageError):
         T.concat([])
     with pytest.raises(UsageError):
