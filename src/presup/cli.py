@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 from pathlib import Path
 
@@ -27,10 +28,7 @@ from .vocab import build_embedding_table, build_vocab, load_embeddings
 
 
 def _load_run_config(args) -> RunConfig:
-    if args.config:
-        d = load_config_dict(args.config)
-    else:
-        d = {}
+    d = load_config_dict(args.config) if args.config else {}
     apply_overrides(d, args.set)
     cfg = RunConfig.from_dict(d)
     if args.seed is not None:
@@ -60,9 +58,10 @@ def cmd_extract(args) -> int:
     for name, split in sorted(datasets.items()):
         dataset_dir = out / "datasets" / name
         dataset_dir.mkdir(parents=True, exist_ok=True)
-        write_samples(dataset_dir / "train.jsonl", split.train)
-        write_samples(dataset_dir / "dev.jsonl", split.dev)
-        write_samples(dataset_dir / "test.jsonl", split.test)
+        for part in ("train", "dev", "test"):
+            write_samples(dataset_dir / f"{part}.jsonl", getattr(split, part))
+            if not getattr(split, part):
+                logging.getLogger(__name__).warning("dataset %s: empty %s split", name, part)
         split_counts[name] = split.counts()
     _write_json(out / "stats" / "extraction.json",
                 {"per_adverb": stats.to_dict(), "splits": split_counts})

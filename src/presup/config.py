@@ -20,17 +20,14 @@ class ExtractionConfig:
     max_len: int = 60
     test_sections: tuple = ()
     dev_fraction: float = 0.10
-    strict_negative_window: bool = False
 
     def __post_init__(self):
         self.adverbs = tuple(self.adverbs)
         self.test_sections = tuple(str(s) for s in self.test_sections)
-        if self.window_before < 1:
-            raise UsageError(f"window_before must be >= 1, got {self.window_before}")
+        _at_least(self, 1, "window_before")
         if not 0.0 < self.dev_fraction < 1.0:
             raise UsageError(f"dev_fraction must be in (0, 1), got {self.dev_fraction}")
-        if self.max_len < 2:
-            raise UsageError(f"max_len must be >= 2, got {self.max_len}")
+        _at_least(self, 2, "max_len")
 
 
 @dataclass
@@ -50,15 +47,20 @@ class ModelConfig:
     logreg_epochs: int = 200
 
     def __post_init__(self):
-        self.cnn_widths = tuple(self.cnn_widths)
-        if len(set(self.cnn_widths)) != len(self.cnn_widths):
-            raise UsageError(f"cnn_widths must be distinct, got {self.cnn_widths}")
+        self.cnn_widths = widths = tuple(self.cnn_widths)
         if self.variant not in MODEL_VARIANTS:
             raise UsageError(f"unknown model variant {self.variant!r}")
         if self.pos_mode not in ("off", "one_hot", "embed"):
             raise UsageError(f"unknown pos_mode {self.pos_mode!r}")
         if self.activation not in ("relu", "tanh"):
             raise UsageError(f"unknown activation {self.activation!r}")
+        _at_least(self, 1, "hidden_size", "embed_dim", "pos_dim", "dense_units",
+                  "cnn_maps", "max_len")
+        _at_least(self, 0, "logreg_epochs")
+        if not widths or len(set(widths)) != len(widths) \
+                or not all(1 <= w <= self.max_len for w in widths):
+            raise UsageError(f"cnn_widths must be distinct and in [1, max_len={self.max_len}], "
+                             f"got {widths}")
 
 
 @dataclass
@@ -73,12 +75,19 @@ class TrainConfig:
     dataset: str = "all"
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise UsageError(f"batch_size must be >= 1, got {self.batch_size}")
+        _at_least(self, 1, "batch_size", "patience", "max_epochs")
         if not 0.0 <= self.dropout < 1.0:
             raise UsageError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.patience < 1:
-            raise UsageError(f"patience must be >= 1, got {self.patience}")
+        if not self.lr > 0.0:
+            raise UsageError(f"lr must be > 0, got {self.lr}")
+        if not self.clip_lo <= self.clip_hi:
+            raise UsageError(f"clip_lo must be <= clip_hi, got {self.clip_lo} > {self.clip_hi}")
+
+
+def _at_least(cfg, floor: int, *names) -> None:
+    for name in names:
+        if getattr(cfg, name) < floor:
+            raise UsageError(f"{name} must be >= {floor}, got {getattr(cfg, name)}")
 
 
 @dataclass

@@ -110,8 +110,9 @@ class ExtractionStats:
 def parse_corpus(stream) -> list:
     """Parse the three-column corpus format into Documents.
 
-    Lines: ``#doc <doc_id> <section_id>`` opens a document; token lines are
-    ``token<TAB>pos<TAB>head_index``; a blank line closes the sentence.
+    Lines: ``#doc <doc_id> <section_id>``, with no tab, opens a document;
+    token lines are ``token<TAB>pos<TAB>head_index``; a blank line closes
+    the sentence.
     """
     if isinstance(stream, str):
         lines = stream.splitlines()
@@ -137,7 +138,7 @@ def parse_corpus(stream) -> list:
         cur_tokens, cur_pos, cur_head = [], [], []
 
     for lineno, line in enumerate(lines, start=1):
-        if line.startswith("#doc"):
+        if line.startswith("#doc") and "\t" not in line:  # "#doc<TAB>..." is a token
             close_sentence(lineno)
             parts = line.split()
             if len(parts) != 3:
@@ -312,8 +313,6 @@ def extract_negatives(docs: list, occurrences: list, cfg: ExtractionConfig,
                 if flat is None:
                     flat = doc.flat()
                 tokens, pos = _window(flat, sent_index, i, cfg)
-                if cfg.strict_negative_window and any(t.lower() in targets for t in tokens):
-                    continue
                 sample = truncate_sample(
                     Sample(label="none", tokens=tokens, pos=pos, section=doc.section_id),
                     cfg.max_len)

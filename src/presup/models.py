@@ -23,7 +23,7 @@ from .extraction import MARKER, Sample
 from .optim import ParamStore
 from .rng import Rng, dropout_mask
 from .tensor import Tensor
-from .vocab import EmbeddingTable, Vocab
+from .vocab import Vocab
 
 INIT_SCALE = 0.08  # uniform init range for recurrent and dense weights
 # Samples per scoring forward. Larger chunks were no faster and raised peak
@@ -44,12 +44,6 @@ class ForwardTrace:
     c: np.ndarray
     z: np.ndarray
     y_hat: np.ndarray
-
-
-def param_count(params: ParamStore) -> int:
-    """Trainable parameter total; frozen tensors (e.g. word embeddings)
-    do not count."""
-    return params.param_count()
 
 
 # ---------------------------------------------------------------------------
@@ -77,19 +71,20 @@ def _batch_lengths(lengths, cols: int) -> tuple:
     return lengths, steps
 
 
-def embed_sequence(samples, vocab: Vocab, embeddings: EmbeddingTable,
+def embed_sequence(samples, vocab: Vocab, embeddings: np.ndarray,
                    cfg: ModelConfig, params: ParamStore | None = None,
                    steps: int | None = None) -> Tensor:
-    """Rows are word vectors, optionally concatenated with a POS feature
-    (one-hot or learned 40-dim embedding), for the batch padded to T = steps
-    rows per sample (default: its longest sample): row b*T + t is token t of
-    sample b. Padded rows use id 0 of each table."""
+    """Rows are word vectors (rows of the (|V|, d) embeddings), optionally
+    concatenated with a POS feature (one-hot or learned 40-dim embedding),
+    for the batch padded to T = steps rows per sample (default: its longest
+    sample): row b*T + t is token t of sample b. Padded rows use id 0 of
+    each table."""
     batch = _as_batch(samples)
     steps = steps or max(len(s.tokens) for s in batch)
     ids = np.zeros((len(batch), steps), dtype=np.intp)
     for row, sample in zip(ids, batch):
         row[:len(sample.tokens)] = vocab.token_ids(sample.tokens)
-    words = Tensor(embeddings.matrix[ids.reshape(-1)])
+    words = Tensor(embeddings[ids.reshape(-1)])
     if cfg.pos_mode == "off":
         return words
     pos_ids = np.zeros((len(batch), steps), dtype=np.intp)
@@ -431,13 +426,13 @@ def _config_from(doc) -> ModelConfig:
 
 
 class NeuralModel:
-    """Base of the recurrent classifiers and the CNN. Subclasses name their
-    layers in ``_layer_shapes`` and define ``forward``, which scores a batch
-    of samples, and ``predict_label``."""
+    """Base of the recurrent classifiers and the CNN over a frozen (|V|, d)
+    word-vector matrix. Subclasses name their layers in ``_layer_shapes``
+    and define ``forward``, which scores a batch of samples."""
 
     variant = ""
 
-    def __init__(self, cfg: ModelConfig, vocab: Vocab, embeddings: EmbeddingTable,
+    def __init__(self, cfg: ModelConfig, vocab: Vocab, embeddings: np.ndarray,
                  rng: Rng | None = None):
         self.cfg = cfg
         self.vocab = vocab
@@ -461,10 +456,6 @@ class NeuralModel:
                 rng.uniform(-INIT_SCALE, INIT_SCALE, shape)
             self.params.add(name, Tensor(value))
 
-    def predict_proba(self, sample: Sample) -> np.ndarray:
-        y_hat, _ = self.forward(sample, mode="eval")
-        return y_hat.data.reshape(-1).copy()
-
     def predict_labels(self, samples) -> list:
         """Argmax label of every sample, scored in length-sorted chunks of
         EVAL_CHUNK so that each chunk carries little padding."""
@@ -483,7 +474,7 @@ class NeuralModel:
         return {
             "config": _cfg_dict(self.cfg),
             "vocab": {"tokens": self.vocab.tokens, "pos_tags": self.vocab.pos_tags},
-            "embeddings": _array_payload(self.embeddings.matrix),
+            "embeddings": _array_payload(self.embeddings),
             "params": {name: dict(_array_payload(t.data),
                                   trainable=self.params.is_trainable(name))
                        for name, t in self.params.items()},
@@ -500,7 +491,7 @@ class NeuralModel:
         if matrix.shape != (len(vocab.tokens), cfg.embed_dim):
             raise UsageError(f"field 'embeddings': shape {matrix.shape} does not match "
                              f"{len(vocab.tokens)} tokens x embed_dim {cfg.embed_dim}")
-        model = cls(cfg, vocab, EmbeddingTable(matrix=matrix, trainable=False))
+        model = cls(cfg, vocab, matrix)
         for name, shape in model.param_shapes().items():
             field = f"params.{name}"
             value = _array_from(_field(doc, field), field)
@@ -719,21 +710,22 @@ class LogRegModel:
             self.w -= self.cfg.logreg_lr * grad_w
             self.b -= self.cfg.logreg_lr * grad_b
 
-    def predict_proba(self, sample: Sample) -> np.ndarray:
-        score = self.b
-        if self.w is not None:
+    def predict_labels(self, samples) -> list:
+        """1 where sigmoid(b + w[feature] * count, summed in feature order) >= 0.5."""
+        if self.w is None:
+            raise UsageError("LogRegModel used before fit")
+        labels = []
+        for sample in samples:
+            score = self.b
             for feat, count in logreg_featurize(sample, self.use_pos).items():
                 idx = self.feature_index.get(feat)
                 if idx is not None:
                     score += self.w[idx] * count
-        p = 1.0 / (1.0 + np.exp(-np.clip(score, -500, 500)))
-        return np.array([1.0 - p, p])
+            labels.append(int(1.0 / (1.0 + np.exp(-np.clip(score, -500, 500))) >= 0.5))
+        return labels
 
     def predict_label(self, sample: Sample) -> int:
-        return int(self.predict_proba(sample)[1] >= 0.5)
-
-    def predict_labels(self, samples) -> list:
-        return [self.predict_label(s) for s in samples]
+        return self.predict_labels([sample])[0]
 
     def state(self) -> dict:
         return {"config": _cfg_dict(self.cfg),
@@ -774,17 +766,13 @@ class MfcModel:
         neg = len(train) - pos
         self.majority = 1 if pos >= neg else 0
 
-    def predict_label(self, sample: Sample) -> int:
+    def predict_labels(self, samples) -> list:
         if self.majority is None:
             raise UsageError("MfcModel used before fit")
-        return self.majority
+        return [self.majority] * len(samples)
 
-    def predict_labels(self, samples) -> list:
-        return [self.predict_label(s) for s in samples]
-
-    def predict_proba(self, sample: Sample) -> np.ndarray:
-        label = self.predict_label(sample)
-        return np.array([1.0 - label, float(label)])
+    def predict_label(self, sample: Sample) -> int:
+        return self.predict_labels([sample])[0]
 
     def state(self) -> dict:
         return {"majority": self.majority}
@@ -796,16 +784,6 @@ class MfcModel:
         if model.majority not in (0, 1):
             raise UsageError(f"field 'majority': expected 0 or 1, got {model.majority!r}")
         return model
-
-
-def mfc_fit(train) -> MfcModel:
-    model = MfcModel()
-    model.fit(train)
-    return model
-
-
-def mfc_predict(model: MfcModel, sample: Sample) -> int:
-    return model.predict_label(sample)
 
 
 VARIANTS = {cls.variant: cls for cls in

@@ -41,10 +41,9 @@ class EvalReport:
     n_negative: int
     model_id: str = ""
     dataset_id: str = ""
-    best_epoch: int | None = None
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "model": self.model_id,
             "dataset": self.dataset_id,
             "accuracy": self.accuracy,
@@ -52,9 +51,6 @@ class EvalReport:
             "n_positive": self.n_positive,
             "n_negative": self.n_negative,
         }
-        if self.best_epoch is not None:
-            out["best_epoch"] = self.best_epoch
-        return out
 
 
 def sample_target(sample) -> int:
@@ -65,13 +61,10 @@ def batch_loss(probs, labels) -> Tensor:
     """Mean negative log-likelihood of the true labels over the batch, as
     one tape node.
 
-    probs is a (2, B) probability tensor, one column per sample; a list of
-    (2, 1) columns is first joined by one concat node. Probabilities below
-    1e-12 are clamped before the log (and logged as a warning); a clamped
-    entry gets zero gradient.
+    probs is a (2, B) probability tensor, one column per sample.
+    Probabilities below 1e-12 are clamped before the log (and logged as a
+    warning); a clamped entry gets zero gradient.
     """
-    if isinstance(probs, (list, tuple)):
-        probs = T.concat(probs, axis=1)
     if probs.data.ndim != 2 or probs.shape[0] != 2:
         raise ShapeError(f"batch_loss: probabilities of shape {probs.shape}, not (2, B)")
     if probs.shape[1] != len(labels):
@@ -124,7 +117,6 @@ def evaluate(model, data, model_id: str = "", dataset_id: str = "") -> EvalRepor
 
 @dataclass
 class TrainResult:
-    best_values: dict
     best_epoch: int
     best_accuracy: float
     history: list = field(default_factory=list)
@@ -197,5 +189,4 @@ def train(model, train_set, dev_set, cfg: TrainConfig, rng: Rng,
                 break
 
     model.params.load_values(best_values)
-    return TrainResult(best_values=best_values, best_epoch=best_epoch,
-                       best_accuracy=best_acc, history=history)
+    return TrainResult(best_epoch=best_epoch, best_accuracy=best_acc, history=history)

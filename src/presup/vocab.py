@@ -51,9 +51,6 @@ class Vocab:
     def id_of(self, token: str) -> int:
         return self.token_to_id.get(token, self.unk_id)
 
-    def pos_id_of(self, tag: str) -> int:
-        return self.pos_to_id.get(tag, self.pos_to_id[UNK])
-
     def token_ids(self, tokens) -> list:
         get, unk = self.token_to_id.get, self.unk_id
         return [get(t, unk) for t in tokens]
@@ -75,12 +72,6 @@ def build_vocab(samples, min_count: int = 1) -> Vocab:
     tokens = _ordered(token_counts, min_count) + [MARKER, UNK, PAD]
     pos_tags = _ordered(pos_counts, 1) + [MARKER, UNK, PAD]
     return Vocab(tokens=tokens, pos_tags=pos_tags)
-
-
-@dataclass
-class EmbeddingTable:
-    matrix: np.ndarray  # |V| x d, row i = embedding of token id i
-    trainable: bool = False
 
 
 def parse_vector_file(path, dim: int | None = None):
@@ -115,10 +106,11 @@ def parse_vector_file(path, dim: int | None = None):
     return vectors, dim
 
 
-def load_embeddings(path, vocab: Vocab, rng: Rng, dim: int = 300) -> EmbeddingTable:
-    """Known rows copied from file; missing rows drawn uniform(-0.05, 0.05)
-    in vocabulary-id order (stable across reloads for a fixed rng seed);
-    padding row is all zeros. Frozen by default."""
+def load_embeddings(path, vocab: Vocab, rng: Rng, dim: int = 300) -> np.ndarray:
+    """The (|V|, dim) word-vector matrix, row i for token id i: known rows
+    copied from file; missing rows drawn uniform(-0.05, 0.05) in
+    vocabulary-id order (stable across reloads for a fixed rng seed);
+    padding row is all zeros."""
     vectors, file_dim = parse_vector_file(path, dim=None)
     if file_dim != dim:
         raise UsageError(
@@ -127,7 +119,7 @@ def load_embeddings(path, vocab: Vocab, rng: Rng, dim: int = 300) -> EmbeddingTa
 
 
 def build_embedding_table(vocab: Vocab, rng: Rng, dim: int,
-                          vectors: dict | None = None) -> EmbeddingTable:
+                          vectors: dict | None = None) -> np.ndarray:
     vectors = vectors or {}
     matrix = np.zeros((len(vocab), dim))
     for i, token in enumerate(vocab.tokens):
@@ -135,4 +127,4 @@ def build_embedding_table(vocab: Vocab, rng: Rng, dim: int,
             continue
         known = vectors.get(token)
         matrix[i] = known if known is not None else rng.uniform(-0.05, 0.05, dim)
-    return EmbeddingTable(matrix=matrix, trainable=False)
+    return matrix

@@ -8,6 +8,7 @@ absolute (~1e-11), not relative.
 import numpy as np
 
 from presup import tensor as T
+from presup.models import logreg_featurize
 
 REL_FLOOR = 1e-6
 
@@ -42,6 +43,19 @@ def max_rel_err(fd: np.ndarray, g: np.ndarray) -> float:
     if denom.size == 0:
         return 0.0
     return float(np.max(np.abs(fd[mask] - g[mask]) / denom))
+
+
+def logreg_proba(model, sample) -> np.ndarray:
+    """[1 - p, p] of a fitted LogRegModel, added up as its scorer does: the
+    bias, then w[idx] * count over the known features in featurize order,
+    then the sigmoid of the score clipped to [-500, 500]."""
+    score = model.b
+    for feat, count in logreg_featurize(sample, model.use_pos).items():
+        idx = model.feature_index.get(feat)
+        if idx is not None:
+            score += model.w[idx] * count
+    p = 1.0 / (1.0 + np.exp(-np.clip(score, -500, 500)))
+    return np.array([1.0 - p, p])
 
 
 def tape_sum(x: T.Tensor) -> T.Tensor:

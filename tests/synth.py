@@ -10,7 +10,7 @@ import numpy as np
 
 from presup.extraction import MARKER, Sample
 from presup.rng import Rng
-from presup.vocab import EmbeddingTable, Vocab, build_vocab
+from presup.vocab import Vocab, build_vocab
 
 N_CONTENT = 8
 PREFIX_LEN = 5
@@ -49,11 +49,11 @@ def gen_repetition_samples(rng: Rng, n: int) -> list[Sample]:
     return out
 
 
-def onehot_embeddings(vocab: Vocab) -> EmbeddingTable:
+def onehot_embeddings(vocab: Vocab) -> np.ndarray:
     """One row per vocabulary entry on the standard basis; pad row zeroed."""
     mat = np.eye(len(vocab.tokens))
     mat[vocab.pad_id] = 0.0
-    return EmbeddingTable(mat)
+    return mat
 
 
 def make_task(seed: int, n_train: int = 2000, n_dev: int = 400, n_test: int = 400):

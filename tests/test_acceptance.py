@@ -20,12 +20,11 @@ from presup.cli import main
 from presup.config import ModelConfig, TrainConfig
 from presup.extraction import MARKER, Sample
 from presup.metrics import ConfusionMatrix, ContingencyTable, mcnemar
-from presup.models import (LstmBaselineModel, WPModel, attention_weights,
-                           mfc_fit, mfc_predict, param_count)
+from presup.models import LstmBaselineModel, MfcModel, WPModel, attention_weights
 from presup.rng import Rng
 from presup.tensor import Tape, Tensor, backward
 from presup.training import batch_loss, evaluate, sample_target, train
-from presup.vocab import PAD, UNK, EmbeddingTable, Vocab
+from presup.vocab import PAD, UNK, Vocab
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 CORPUS = Path(__file__).parent / "data" / "fixture_corpus.txt"
@@ -39,10 +38,10 @@ def _tiny_vocab() -> Vocab:
     return Vocab(tokens=[PAD, UNK, MARKER] + WORDS, pos_tags=[UNK] + TAGS)
 
 
-def _random_embeddings(vocab: Vocab, dim: int, rng: Rng) -> EmbeddingTable:
+def _random_embeddings(vocab: Vocab, dim: int, rng: Rng) -> np.ndarray:
     mat = rng.uniform(-0.5, 0.5, (len(vocab.tokens), dim))
     mat[vocab.pad_id] = 0.0
-    return EmbeddingTable(mat)
+    return mat
 
 
 def _random_sample(rng: Rng, length: int) -> Sample:
@@ -77,12 +76,12 @@ def test_gradients_match_finite_differences_on_random_instances():
 
         with Tape() as tape:
             y_hat, _ = model.forward(sample)
-            loss = batch_loss([y_hat], [target])
+            loss = batch_loss(y_hat, [target])
         grads = backward(tape, loss).for_store(model.params)
 
         def loss_value():
             y, _ = model.forward(sample)
-            return batch_loss([y], [target]).item()
+            return batch_loss(y, [target]).item()
 
         for name, p in model.params.items():
             n_probe = min(p.data.size, 6)
@@ -144,7 +143,7 @@ def test_parameter_parity_with_baseline(hidden, pos_mode, pos_dim):
                                          embed_dim=12, pos_mode=pos_mode,
                                          pos_dim=pos_dim),
                              vocab, emb, Rng(7))
-    assert param_count(wp.params) == param_count(base.params)
+    assert wp.params.param_count() == base.params.param_count()
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +229,9 @@ def test_wp_learns_synthetic_recurrence_task():
     train_set, dev_set, test_set, vocab, emb = synth.make_task(2024)
     assert (len(train_set), len(dev_set), len(test_set)) == (2000, 400, 400)
 
-    mfc = mfc_fit(train_set)
-    mfc_hits = sum(mfc_predict(mfc, s) == sample_target(s) for s in test_set)
+    mfc = MfcModel()
+    mfc.fit(train_set)
+    mfc_hits = sum(p == sample_target(s) for p, s in zip(mfc.predict_labels(test_set), test_set))
     mfc_acc = mfc_hits / len(test_set)
     assert abs(mfc_acc - 0.5) <= 0.02
 

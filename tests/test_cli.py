@@ -234,6 +234,41 @@ def test_train_rejects_empty_split_before_writing(tmp_path, corpus_path, capsys)
     assert not (out / "checkpoints").exists()
 
 
+def test_extract_warns_about_each_empty_split(tmp_path, corpus_path, caplog):
+    with caplog.at_level("WARNING", logger="presup.cli"):
+        _, out = _extract(tmp_path, corpus_path)
+    warned = {(r.args[0], r.args[1]) for r in caplog.records if r.name == "presup.cli"}
+    empty = {(path.parent.name, path.stem)
+             for path in (out / "datasets").glob("*/*.jsonl") if path.stat().st_size == 0}
+    assert ("again", "dev") in empty and ("all", "dev") not in empty
+    assert warned == empty
+    assert "dataset again: empty dev split" in caplog.text
+
+
+@pytest.mark.parametrize("override, field", [
+    ("model.cnn_widths=[70]", "cnn_widths"),
+    ("model.cnn_widths=[0]", "cnn_widths"),
+    ("model.cnn_widths=[]", "cnn_widths"),
+    ("model.hidden_size=0", "hidden_size"),
+    ("model.embed_dim=0", "embed_dim"),
+    ("model.pos_dim=0", "pos_dim"),
+    ("model.dense_units=0", "dense_units"),
+    ("model.cnn_maps=0", "cnn_maps"),
+    ("model.max_len=0", "max_len"),
+    ("model.logreg_epochs=-1", "logreg_epochs"),
+    ("train.lr=-1", "lr"),
+    ("train.lr=0", "lr"),
+    ("train.max_epochs=0", "max_epochs"),
+    ("train.clip_lo=2", "clip_lo"),
+])
+def test_train_rejects_bad_sizes_before_training(extracted, capsys, override, field):
+    cfg, out = extracted
+    capsys.readouterr()
+    assert _train(cfg, out, 'model.variant="cnn"', override) == 2
+    assert f"error: {field} must be" in capsys.readouterr().err
+    assert not (out / "checkpoints").exists()
+
+
 def test_eval_rejects_malformed_sample_with_line_number(extracted, capsys):
     cfg, out = extracted
     assert _train(cfg, out, 'model.variant="mfc"') == 0

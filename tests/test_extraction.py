@@ -1,3 +1,4 @@
+import io
 from collections import Counter
 
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import strategies as st
 
 from presup.config import ExtractionConfig
 from presup.errors import ParseError, UsageError
-from presup.extraction import (MARKER, Document, Sample, _marker_problem, extract_positive,
+from presup.extraction import (MARKER, AnnotatedSentence, Document, Sample, _marker_problem,
+                               extract_positive,
                                filter_too, find_occurrences, parse_corpus, read_samples,
                                resolve_governor, run_extraction, split_dataset,
                                truncate_sample, validate_sample, write_samples)
@@ -51,6 +53,46 @@ def test_parse_corpus_errors():
         parse_corpus("#doc d 1\na\tNN\t5\n\n")
     with pytest.raises(ParseError, match="empty token"):
         parse_corpus("#doc d 1\n\tNN\t-1\n")
+
+
+# any text without a tab or a line break; header fields hold no whitespace either
+_FIELD = st.text(st.characters(blacklist_categories=("Cc", "Zl", "Zp")), min_size=1, max_size=4)
+_NAME = st.text(st.characters(blacklist_categories=("Cc", "Z")), min_size=1, max_size=4)
+_BLANKS = st.lists(st.sampled_from(["", " ", "\t", " \t "]), max_size=2)
+
+
+@st.composite
+def _corpus(draw):
+    """(corpus text, the Documents it encodes), written as the format
+    describes: a header per document, one token<TAB>POS<TAB>head line per
+    token, blank or whitespace-only lines between sentences (at least one
+    unless a header or the end of the file follows)."""
+    lines, docs = draw(_BLANKS), []
+    for _ in range(draw(st.integers(0, 3))):
+        doc = Document(draw(_NAME), draw(_NAME), [])
+        lines += [f"#doc {doc.doc_id} {doc.section_id}"] + draw(_BLANKS)
+        n_sent = draw(st.integers(0, 3))
+        for k in range(n_sent):
+            n = draw(st.integers(1, 4))
+            tokens = draw(st.lists(st.one_of(_FIELD, st.sampled_from(["#doc", "#doc x"])),
+                                   min_size=n, max_size=n))
+            sent = AnnotatedSentence(tokens, draw(st.lists(_FIELD, min_size=n, max_size=n)),
+                                     draw(st.lists(st.integers(-1, n - 1), min_size=n,
+                                                   max_size=n)))
+            doc.sentences.append(sent)
+            lines += ["\t".join(map(str, row)) for row in zip(sent.tokens, sent.pos, sent.head)]
+            last = k == n_sent - 1
+            lines += ([] if last and draw(st.booleans()) else [""]) + draw(_BLANKS)
+        docs.append(doc)
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"])), docs
+
+
+@settings(max_examples=200, deadline=None)
+@given(_corpus())
+def test_parse_corpus_round_trip_property(corpus):
+    text, docs = corpus
+    assert parse_corpus(text) == docs
+    assert parse_corpus(io.StringIO(text)) == docs
 
 
 # ---------------------------------------------------------------------------

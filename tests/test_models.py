@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fd_gradient, max_rel_err, tape_sum
+from oracles import fd_gradient, logreg_proba, max_rel_err, tape_sum
 from presup import tensor as T
 from presup.checkpoint import load_checkpoint, save_checkpoint
 from presup.cli import main
@@ -16,13 +16,12 @@ from presup.errors import ShapeError, UsageError
 from presup.extraction import MARKER, Sample, write_samples
 from presup.models import (EVAL_CHUNK, VARIANTS, LogRegModel, MfcModel,
                            attention_weights, conv_max_pool, embed_sequence, input_width,
-                           lstm_sequence, logreg_featurize, mfc_fit, mfc_predict,
-                           param_count, pool_states)
+                           lstm_sequence, logreg_featurize, pool_states)
 from presup.optim import ParamStore
 from presup.rng import Rng
 from presup.tensor import Tape, Tensor, backward
 from presup.training import batch_loss, sample_target
-from presup.vocab import EmbeddingTable, build_vocab
+from presup.vocab import build_vocab
 
 
 def _samples():
@@ -42,8 +41,7 @@ def _setup(variant="wp", seed=5, **cfg_kwargs):
                     dense_units=5)
     defaults.update(cfg_kwargs)
     cfg = ModelConfig(**defaults)
-    emb = EmbeddingTable(rng.child("emb").uniform(-0.5, 0.5,
-                                                  (len(vocab.tokens), cfg.embed_dim)))
+    emb = rng.child("emb").uniform(-0.5, 0.5, (len(vocab.tokens), cfg.embed_dim))
     model = VARIANTS[variant](cfg, vocab, emb, rng=rng.child("init"))
     return samples, vocab, model
 
@@ -338,7 +336,7 @@ def test_attention_and_pool_gradients_over_a_padded_batch():
 def test_wp_and_baseline_share_parameter_count():
     _, _, wp = _setup("wp")
     _, _, baseline = _setup("lstm")
-    assert param_count(wp.params) == param_count(baseline.params)
+    assert wp.params.param_count() == baseline.params.param_count()
 
 
 def test_uniform_alpha_reproduces_mean_pooling():
@@ -494,7 +492,7 @@ def test_predict_labels_in_sorted_chunks_keep_input_order(variant):
     model.params["out_W"].data *= 100.0  # so that both labels occur
     lengths = [(k * 37) % 23 + 1 for k in range(EVAL_CHUNK + 9)]
     batch = _mixed_batch(seed=3, lengths=lengths)
-    one_by_one = [int(np.argmax(model.predict_proba(s))) for s in batch]
+    one_by_one = [int(np.argmax(model.forward(s)[0].data)) for s in batch]
     assert 0 < sum(one_by_one) < len(batch)
     assert model.predict_labels(batch) == one_by_one
     assert [model.predict_label(s) for s in batch] == one_by_one
@@ -520,7 +518,7 @@ def test_embed_sequence_widths_and_unknowns():
 
     unknown = Sample("none", ["zzz", MARKER, "run"], ["XX", MARKER, "VB"], "0")
     X_unk = embed_sequence(unknown, vocab, emb, cfg_off, None)
-    np.testing.assert_array_equal(X_unk.data[0], emb.matrix[vocab.unk_id])
+    np.testing.assert_array_equal(X_unk.data[0], emb[vocab.unk_id])
 
 
 def test_pos_embedding_is_learned():
@@ -578,7 +576,7 @@ def test_cnn_widths_must_be_distinct():
 
 
 def test_cnn_rejects_overlong_input():
-    samples, _, cnn = _setup("cnn", max_len=4)
+    samples, _, cnn = _setup("cnn", max_len=4, cnn_widths=(2, 3))
     with pytest.raises(UsageError):
         cnn.forward(samples[0])
 
@@ -603,24 +601,42 @@ def test_logreg_learns_separable_data():
     model.fit(pos + neg)
     assert model.predict_label(pos[0]) == 1
     assert model.predict_label(neg[0]) == 0
-    # unseen n-grams at prediction time are ignored, not an error
+    # unseen n-grams at prediction time are ignored, not an error: "odd"
+    # scores exactly as its known n-grams alone (@@@@, verb, @@@@ verb)
     odd = Sample("none", ["brand", "new", MARKER, "verb"],
                  ["N", "N", MARKER, "V"], "0")
-    assert model.predict_proba(odd).sum() == pytest.approx(1.0)
+    known = Sample("none", [MARKER, "verb"], [MARKER, "V"], "0")
+    assert logreg_proba(model, odd).tobytes() == logreg_proba(model, known).tobytes()
+    labels = [int(logreg_proba(model, s)[1] >= 0.5) for s in (pos[0], neg[0], odd)]
+    assert model.predict_labels([pos[0], neg[0], odd]) == labels
+
+
+def _mfc(train) -> MfcModel:
+    model = MfcModel()
+    model.fit(train)
+    return model
 
 
 def test_mfc_majority_and_ties():
     pos = [Sample("again", ["a", MARKER, "b"], ["x", MARKER, "y"], "0")]
     neg = [Sample("none", ["c", MARKER, "d"], ["x", MARKER, "y"], "0")]
-    assert mfc_fit(pos + neg * 2).majority == 0
-    assert mfc_fit(pos * 2 + neg).majority == 1
-    assert mfc_fit(pos + neg).majority == 1  # ties go to the positive class
-    model = MfcModel()
+    assert _mfc(pos + neg * 2).majority == 0
+    assert _mfc(pos * 2 + neg).majority == 1
+    assert _mfc(pos + neg).majority == 1  # ties go to the positive class
     with pytest.raises(UsageError):
-        model.predict_label(pos[0])
-    with pytest.raises(UsageError):
-        model.fit([])
-    assert mfc_predict(mfc_fit(pos), neg[0]) == 1
+        MfcModel().fit([])
+    assert _mfc(pos).predict_label(neg[0]) == 1
+    assert _mfc(neg).predict_labels(pos + neg + pos) == [0, 0, 0]
+
+
+@pytest.mark.parametrize("variant", ["logreg", "mfc"])
+def test_unfitted_baseline_refuses_to_predict(variant):
+    model = VARIANTS[variant](ModelConfig(variant=variant))
+    sample = Sample("again", ["a", MARKER, "b"], ["x", MARKER, "y"], "0")
+    with pytest.raises(UsageError, match="before fit"):
+        model.predict_labels([sample])
+    with pytest.raises(UsageError, match="before fit"):
+        model.predict_label(sample)
 
 
 # ---------------------------------------------------------------------------
@@ -628,8 +644,13 @@ def test_mfc_majority_and_ties():
 
 
 def _assert_same_predictions(a, b, samples):
+    """Bitwise-equal probabilities for every sample, and equal labels."""
+    assert a.predict_labels(samples) == b.predict_labels(samples)
     for s in samples:
-        np.testing.assert_array_equal(a.predict_proba(s), b.predict_proba(s))
+        if isinstance(a, LogRegModel):
+            assert logreg_proba(a, s).tobytes() == logreg_proba(b, s).tobytes()
+        elif hasattr(a, "forward"):
+            assert a.forward(s)[0].data.tobytes() == b.forward(s)[0].data.tobytes()
 
 
 def _fitted(variant):
@@ -663,7 +684,7 @@ def test_checkpoint_round_trip(variant, tmp_path):
     _assert_same_predictions(model, loaded, samples)
     if hasattr(model, "params"):
         # frozen embeddings stay frozen through the round trip
-        assert param_count(loaded.params) == param_count(model.params)
+        assert loaded.params.param_count() == model.params.param_count()
     if variant == "mfc":
         assert loaded.majority == model.majority
     save_checkpoint(tmp_path / "b.json", loaded, dataset_id="all", extra={"best_epoch": 3})
@@ -815,7 +836,7 @@ def _v1_arrays(doc) -> dict:
 def _model_arrays(model) -> dict:
     if isinstance(model, LogRegModel):
         return {"weights": model.w}
-    return {"embeddings": model.embeddings.matrix,
+    return {"embeddings": model.embeddings,
             **{name: t.data for name, t in model.params.items()}}
 
 
@@ -829,7 +850,12 @@ def test_v1_checkpoint_still_loads(variant, data_dir, tmp_path):
     # one thread and the same arithmetic as the v1 code; the tolerance only
     # allows for another BLAS kernel's summation order
     for sample, expected in zip(V1_PROBE, V1_PROBA[variant]):
-        np.testing.assert_allclose(model.predict_proba(sample), expected, rtol=1e-12, atol=0)
+        proba = logreg_proba(model, sample) if variant == "logreg" \
+            else model.forward(sample)[0].data.reshape(-1)
+        np.testing.assert_allclose(proba, expected, rtol=1e-12, atol=0)
+    labels = [int(p[1] >= 0.5) if variant == "logreg" else int(np.argmax(p))
+              for p in V1_PROBA[variant]]
+    assert model.predict_labels(V1_PROBE) == labels
     # v1 -> load -> save as v2 -> load keeps every array bit for bit
     save_checkpoint(tmp_path / "v2.json", model, dataset_id="all")
     assert json.loads((tmp_path / "v2.json").read_text())["format"] == "presup-checkpoint-v2"

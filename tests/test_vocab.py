@@ -4,7 +4,7 @@ import pytest
 from presup.errors import ParseError, UsageError
 from presup.extraction import MARKER, Sample
 from presup.rng import Rng
-from presup.vocab import (PAD, UNK, EmbeddingTable, build_vocab,
+from presup.vocab import (PAD, UNK, build_vocab,
                           build_embedding_table, load_embeddings,
                           parse_vector_file)
 
@@ -83,16 +83,16 @@ def test_load_embeddings_mixes_known_and_random(data_dir):
                       ["V", "N", MARKER, "N"], "2")]
     vocab = build_vocab(samples)
     table = load_embeddings(data_dir / "tiny_vectors.txt", vocab, Rng(1), dim=5)
-    assert not table.trainable
-    np.testing.assert_allclose(table.matrix[vocab.id_of("go")],
+    assert table.shape == (len(vocab), 5)
+    np.testing.assert_allclose(table[vocab.id_of("go")],
                                [0.1, -0.2, 0.3, 0.0, 0.5])
-    unknown_row = table.matrix[vocab.id_of("mystery")]
+    unknown_row = table[vocab.id_of("mystery")]
     assert np.all(np.abs(unknown_row) <= 0.05)
     assert np.any(unknown_row != 0.0)
-    np.testing.assert_array_equal(table.matrix[vocab.pad_id], np.zeros(5))
+    np.testing.assert_array_equal(table[vocab.pad_id], np.zeros(5))
     # unknown-row fill is a pure function of the seed
     again = load_embeddings(data_dir / "tiny_vectors.txt", vocab, Rng(1), dim=5)
-    np.testing.assert_array_equal(table.matrix, again.matrix)
+    np.testing.assert_array_equal(table, again)
 
 
 def test_load_embeddings_dimension_mismatch(data_dir):
@@ -104,9 +104,9 @@ def test_load_embeddings_dimension_mismatch(data_dir):
 def test_build_embedding_table_without_file():
     vocab = build_vocab(_samples())
     table = build_embedding_table(vocab, Rng(2), dim=7)
-    assert table.matrix.shape == (len(vocab), 7)
-    np.testing.assert_array_equal(table.matrix[vocab.pad_id], np.zeros(7))
-    assert isinstance(table, EmbeddingTable)
+    assert isinstance(table, np.ndarray) and table.dtype == np.float64
+    assert table.shape == (len(vocab), 7)
+    np.testing.assert_array_equal(table[vocab.pad_id], np.zeros(7))
 
 
 def test_vocab_rejects_duplicates():
