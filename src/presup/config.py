@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import UsageError
@@ -57,6 +58,10 @@ class ModelConfig:
         _at_least(self, 1, "hidden_size", "embed_dim", "pos_dim", "dense_units",
                   "cnn_maps", "max_len")
         _at_least(self, 0, "logreg_epochs")
+        if not (math.isfinite(self.logreg_lr) and self.logreg_lr > 0.0):
+            raise UsageError(f"logreg_lr must be finite and > 0, got {self.logreg_lr}")
+        if not (math.isfinite(self.logreg_l2) and self.logreg_l2 >= 0.0):
+            raise UsageError(f"logreg_l2 must be finite and >= 0, got {self.logreg_l2}")
         if not widths or len(set(widths)) != len(widths) \
                 or not all(1 <= w <= self.max_len for w in widths):
             raise UsageError(f"cnn_widths must be distinct and in [1, max_len={self.max_len}], "

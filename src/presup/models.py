@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import base64
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -639,23 +640,15 @@ class CnnModel(NeuralModel):
 BIGRAM_JOIN = "▁"
 
 
-def logreg_featurize(sample: Sample, use_pos: bool = False) -> dict:
-    """Unigram and bigram token counts (POS n-grams added when enabled)."""
-    feats: dict[str, int] = {}
-
-    def bump(key):
-        feats[key] = feats.get(key, 0) + 1
-
+def logreg_featurize(sample: Sample, use_pos: bool = False) -> Counter:
+    """Unigram and bigram token counts (POS n-grams too when enabled), first seen first."""
     toks = sample.tokens
-    for t in toks:
-        bump(t)
-    for a, b in zip(toks, toks[1:]):
-        bump(a + BIGRAM_JOIN + b)
+    feats = Counter(toks)
+    feats.update(map(BIGRAM_JOIN.join, zip(toks, toks[1:])))
     if use_pos:
-        for t in sample.pos:
-            bump("P:" + t)
-        for a, b in zip(sample.pos, sample.pos[1:]):
-            bump("P:" + a + BIGRAM_JOIN + b)
+        pos = list(map("P:".__add__, sample.pos))
+        feats.update(pos)
+        feats.update(map(BIGRAM_JOIN.join, zip(pos, sample.pos[1:])))  # "P:a▁b"
     return feats
 
 
@@ -676,27 +669,25 @@ class LogRegModel:
     def use_pos(self) -> bool:
         return self.cfg.pos_mode != "off"
 
-    def _matrix(self, samples, grow: bool):
+    def _matrix(self, samples):
+        """Count matrix of the samples; unseen n-grams get the next free ids."""
+        index, use_pos = self.feature_index, self.use_pos
         rows, cols, vals = [], [], []
         for r, sample in enumerate(samples):
-            for feat, count in logreg_featurize(sample, self.use_pos).items():
-                idx = self.feature_index.get(feat)
-                if idx is None:
-                    if not grow:
-                        continue
-                    idx = len(self.feature_index)
-                    self.feature_index[feat] = idx
-                rows.append(r)
-                cols.append(idx)
-                vals.append(float(count))
+            feats = logreg_featurize(sample, use_pos)
+            cols.extend([index.setdefault(f, len(index)) for f in feats])
+            rows.extend([r] * len(feats))
+            vals.extend(feats.values())
         return scipy.sparse.csr_matrix(
-            (vals, (rows, cols)), shape=(len(samples), len(self.feature_index)))
+            (np.array(vals, dtype=np.float64), (rows, cols)),
+            shape=(len(samples), len(index)))
 
     def fit(self, train) -> None:
         train = list(train)
         if not train:
             raise UsageError("LogRegModel.fit: empty training set")
-        X = self._matrix(train, grow=True)
+        X = self._matrix(train)
+        XT = X.T.tocsr()
         y = np.array([1.0 if s.label != "none" else 0.0 for s in train])
         n = len(train)
         self.w = np.zeros(len(self.feature_index))
@@ -705,24 +696,28 @@ class LogRegModel:
             scores = X @ self.w + self.b
             p = 1.0 / (1.0 + np.exp(-np.clip(scores, -500, 500)))
             err = p - y
-            grad_w = (X.T @ err) / n + self.cfg.logreg_l2 * self.w
+            grad_w = (XT @ err) / n + self.cfg.logreg_l2 * self.w
             grad_b = err.mean()
             self.w -= self.cfg.logreg_lr * grad_w
             self.b -= self.cfg.logreg_lr * grad_b
 
     def predict_labels(self, samples) -> list:
-        """1 where sigmoid(b + w[feature] * count, summed in feature order) >= 0.5."""
+        """1 where sigmoid(b + w[feature] * count, summed in feature order) >= 0.5.
+        The sum runs left to right in Python floats (not sum(), which
+        compensates on Python 3.12+), the same additions as a scalar loop."""
         if self.w is None:
             raise UsageError("LogRegModel used before fit")
-        labels = []
+        w, get, use_pos = self.w.tolist(), self.feature_index.get, self.use_pos
+        scores = []
         for sample in samples:
-            score = self.b
-            for feat, count in logreg_featurize(sample, self.use_pos).items():
-                idx = self.feature_index.get(feat)
+            score = float(self.b)
+            feats = logreg_featurize(sample, use_pos)
+            for idx, count in zip(map(get, feats), feats.values()):
                 if idx is not None:
-                    score += self.w[idx] * count
-            labels.append(int(1.0 / (1.0 + np.exp(-np.clip(score, -500, 500))) >= 0.5))
-        return labels
+                    score += w[idx] * count
+            scores.append(score)
+        p = 1.0 / (1.0 + np.exp(-np.clip(np.array(scores), -500, 500)))
+        return (p >= 0.5).astype(int).tolist()
 
     def predict_label(self, sample: Sample) -> int:
         return self.predict_labels([sample])[0]
@@ -736,12 +731,18 @@ class LogRegModel:
     def from_state(cls, doc) -> "LogRegModel":
         model = cls(_config_from(doc))
         features = _field(doc, "features")
+        if not (isinstance(features, list) and all(type(f) is str for f in features)
+                and len(set(features)) == len(features)):
+            raise UsageError("field 'features': expected a list of distinct strings")
         model.feature_index = {feat: i for i, feat in enumerate(features)}
         model.w = _array_from(_field(doc, "weights"), "weights")
         if model.w.shape != (len(features),):
             raise UsageError(f"field 'weights': shape {model.w.shape} for "
                              f"{len(features)} features")
-        model.b = float(_field(doc, "bias"))
+        bias = _field(doc, "bias")
+        if type(bias) not in (int, float) or not math.isfinite(bias):
+            raise UsageError(f"field 'bias': expected a finite number, got {bias!r}")
+        model.b = float(bias)
         return model
 
 
@@ -781,7 +782,7 @@ class MfcModel:
     def from_state(cls, doc) -> "MfcModel":
         model = cls()
         model.majority = _field(doc, "majority")
-        if model.majority not in (0, 1):
+        if type(model.majority) is not int or model.majority not in (0, 1):
             raise UsageError(f"field 'majority': expected 0 or 1, got {model.majority!r}")
         return model
 

@@ -8,9 +8,9 @@ absolute (~1e-11), not relative.
 import numpy as np
 
 from presup import tensor as T
-from presup.models import logreg_featurize
 
 REL_FLOOR = 1e-6
+BIGRAM_JOIN = "\u2581"  # "▁", the join of a bigram's two tokens in a feature key
 
 
 def fd_gradient(f, arr: np.ndarray, eps: float = 1e-5,
@@ -45,12 +45,34 @@ def max_rel_err(fd: np.ndarray, g: np.ndarray) -> float:
     return float(np.max(np.abs(fd[mask] - g[mask]) / denom))
 
 
+def logreg_features(sample, use_pos: bool = False) -> dict:
+    """Reference n-gram counts, one dict update per n-gram: token unigrams,
+    token bigrams, then (with use_pos) POS unigrams and bigrams, each keyed
+    as models.logreg_featurize keys it, in first-seen order."""
+    feats: dict[str, int] = {}
+
+    def bump(key):
+        feats[key] = feats.get(key, 0) + 1
+
+    toks = sample.tokens
+    for t in toks:
+        bump(t)
+    for a, b in zip(toks, toks[1:]):
+        bump(a + BIGRAM_JOIN + b)
+    if use_pos:
+        for t in sample.pos:
+            bump("P:" + t)
+        for a, b in zip(sample.pos, sample.pos[1:]):
+            bump("P:" + a + BIGRAM_JOIN + b)
+    return feats
+
+
 def logreg_proba(model, sample) -> np.ndarray:
-    """[1 - p, p] of a fitted LogRegModel, added up as its scorer does: the
-    bias, then w[idx] * count over the known features in featurize order,
+    """[1 - p, p] of a fitted LogRegModel, one numpy scalar at a time: the
+    bias, then w[idx] * count over the known features in first-seen order,
     then the sigmoid of the score clipped to [-500, 500]."""
     score = model.b
-    for feat, count in logreg_featurize(sample, model.use_pos).items():
+    for feat, count in logreg_features(sample, model.use_pos).items():
         idx = model.feature_index.get(feat)
         if idx is not None:
             score += model.w[idx] * count

@@ -256,6 +256,13 @@ def test_extract_warns_about_each_empty_split(tmp_path, corpus_path, caplog):
     ("model.cnn_maps=0", "cnn_maps"),
     ("model.max_len=0", "max_len"),
     ("model.logreg_epochs=-1", "logreg_epochs"),
+    ("model.logreg_lr=-1", "logreg_lr"),
+    ("model.logreg_lr=0", "logreg_lr"),
+    ("model.logreg_lr=NaN", "logreg_lr"),
+    ("model.logreg_lr=Infinity", "logreg_lr"),
+    ("model.logreg_l2=-5", "logreg_l2"),
+    ("model.logreg_l2=NaN", "logreg_l2"),
+    ("model.logreg_l2=Infinity", "logreg_l2"),
     ("train.lr=-1", "lr"),
     ("train.lr=0", "lr"),
     ("train.max_epochs=0", "max_epochs"),

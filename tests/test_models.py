@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fd_gradient, logreg_proba, max_rel_err, tape_sum
+from oracles import fd_gradient, logreg_features, logreg_proba, max_rel_err, tape_sum
+from presup import models
 from presup import tensor as T
 from presup.checkpoint import load_checkpoint, save_checkpoint
 from presup.cli import main
 from presup.config import MODEL_VARIANTS, ModelConfig
 from presup.errors import ShapeError, UsageError
-from presup.extraction import MARKER, Sample, write_samples
+from presup.extraction import MARKER, Sample, read_samples, write_samples
 from presup.models import (EVAL_CHUNK, VARIANTS, LogRegModel, MfcModel,
                            attention_weights, conv_max_pool, embed_sequence, input_width,
                            lstm_sequence, logreg_featurize, pool_states)
@@ -594,6 +595,48 @@ def test_logreg_featurize_counts():
     assert with_pos["P:X"] == 2 and with_pos["P:X▁Y"] == 1
 
 
+# pieces whose n-gram keys can collide: a token holding the bigram join, a
+# token that reads as a POS feature, the marker, the empty string, repeats
+_NGRAM_PIECES = st.one_of(
+    st.sampled_from(["a", "b", "a▁b", "▁", "b▁", "P:X", "P:X▁Y", "P:", "X", "Y",
+                     MARKER, ""]),
+    st.text(max_size=3))
+
+
+@st.composite
+def _ngram_samples(draw):
+    n = draw(st.integers(1, 8))
+    tokens = draw(st.lists(_NGRAM_PIECES, min_size=n, max_size=n))
+    pos = draw(st.lists(_NGRAM_PIECES, min_size=n, max_size=n))
+    return Sample("again", tokens, pos, "0")
+
+
+@settings(max_examples=300, deadline=None)
+@given(sample=_ngram_samples(), use_pos=st.booleans())
+def test_logreg_featurize_matches_reference(sample, use_pos):
+    """Same keys, counts and first-seen order as one update per n-gram."""
+    got = logreg_featurize(sample, use_pos)
+    assert list(got.items()) == list(logreg_features(sample, use_pos).items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(samples=st.lists(_ngram_samples(), min_size=1, max_size=6), use_pos=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_logreg_labels_match_oracle(samples, use_pos, seed):
+    """Random weights over the n-grams of every other sample, so the rest
+    also carry n-grams the model has not seen."""
+    rng = np.random.default_rng(seed)
+    pos_mode = "one_hot" if use_pos else "off"
+    model = LogRegModel(ModelConfig(variant="logreg", pos_mode=pos_mode))
+    for s in samples[::2]:
+        for feat in logreg_features(s, use_pos):
+            model.feature_index.setdefault(feat, len(model.feature_index))
+    model.w = rng.normal(size=len(model.feature_index))
+    model.b = float(rng.normal())
+    assert model.predict_labels(samples) == \
+        [int(logreg_proba(model, s)[1] >= 0.5) for s in samples]
+
+
 def test_logreg_learns_separable_data():
     pos = [Sample("again", ["cue", MARKER, "verb"], ["N", MARKER, "V"], "0")] * 10
     neg = [Sample("none", ["other", MARKER, "verb"], ["N", MARKER, "V"], "0")] * 10
@@ -609,6 +652,38 @@ def test_logreg_learns_separable_data():
     assert logreg_proba(model, odd).tobytes() == logreg_proba(model, known).tobytes()
     labels = [int(logreg_proba(model, s)[1] >= 0.5) for s in (pos[0], neg[0], odd)]
     assert model.predict_labels([pos[0], neg[0], odd]) == labels
+
+
+@pytest.mark.parametrize("pos_mode", ["off", "one_hot"])
+def test_logreg_featurizes_each_sample_once(pos_mode, corpus_path, tmp_path, monkeypatch):
+    """fit and predict_labels featurize every sample exactly once, and the
+    labels equal the oracle's on the fixture corpus's extracted samples."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"paths": {"corpus": str(corpus_path)},
+                               "extraction": {"test_sections": ["22"], "dev_fraction": 0.3}}))
+    assert main(["extract", "--config", str(cfg), "--seed", "42",
+                 "--out", str(tmp_path / "out")]) == 0
+    split = {name: read_samples(tmp_path / "out" / "datasets" / "all" / f"{name}.jsonl")
+             for name in ("train", "dev", "test")}
+    seen = []
+    real = models.logreg_featurize
+
+    def spy(sample, use_pos=False):
+        seen.append((id(sample), use_pos))
+        return real(sample, use_pos)
+
+    monkeypatch.setattr(models, "logreg_featurize", spy)
+    use_pos = pos_mode != "off"
+    model = LogRegModel(ModelConfig(variant="logreg", pos_mode=pos_mode))
+    model.fit(split["train"])
+    assert seen == [(id(s), use_pos) for s in split["train"]]
+    seen.clear()
+    samples = split["train"] + split["dev"] + split["test"]
+    labels = model.predict_labels(samples)
+    assert seen == [(id(s), use_pos) for s in samples]
+    assert labels == [int(logreg_proba(model, s)[1] >= 0.5) for s in samples]
+    assert all(type(label) is int for label in labels)
+    assert len(set(labels)) == 2
 
 
 def _mfc(train) -> MfcModel:
@@ -791,6 +866,16 @@ def test_checkpoint_malformed_array_payload_is_usage_error(key, corrupt, tmp_pat
      "embeddings"),
     ("logreg", lambda d: d["config"].update(variant="svm"), "config"),
     ("mfc", lambda d: d.update(majority=None), "majority"),
+    pytest.param("mfc", lambda d: d.update(majority=True), "majority", id="mfc-true-majority"),
+    pytest.param("mfc", lambda d: d.update(majority=1.0), "majority", id="mfc-float-majority"),
+    pytest.param("logreg", lambda d: d.update(bias="abc"), "bias", id="logreg-str-bias"),
+    pytest.param("logreg", lambda d: d.update(bias=None), "bias", id="logreg-null-bias"),
+    pytest.param("logreg", lambda d: d.update(bias=float("nan")), "bias",
+                 id="logreg-nan-bias"),
+    pytest.param("logreg", lambda d: d["features"].__setitem__(1, d["features"][0]),
+                 "features", id="logreg-duplicate-features"),
+    pytest.param("logreg", lambda d: d["features"].__setitem__(0, 7),
+                 "features", id="logreg-int-feature"),
 ])
 def test_checkpoint_fields_are_validated(variant, mutate, field, tmp_path):
     model, _ = _fitted(variant)
