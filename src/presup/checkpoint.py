@@ -2,10 +2,9 @@
 
 A checkpoint is an envelope (format, dataset, variant) around the model's
 own ``state()``: for the neural variants the config, the vocabulary, every
-named parameter tensor (trainable and frozen) and the frozen embedding
-matrix, so loading reproduces evaluation outputs exactly. Arrays are
-written as base64 float64 bytes (v2); v1 files, which hold them as lists of
-floats, are still read. A checkpoint is written atomically and fsynced.
+named parameter tensor and the frozen embedding matrix, so loading
+reproduces evaluation outputs exactly. Arrays are written as base64 float64
+bytes (v2); v1 files, which hold them as lists of floats, are still read. A checkpoint is written atomically and fsynced.
 """
 
 from __future__ import annotations

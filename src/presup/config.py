@@ -62,9 +62,9 @@ class ModelConfig:
             raise UsageError(f"logreg_lr must be finite and > 0, got {self.logreg_lr}")
         if not (math.isfinite(self.logreg_l2) and self.logreg_l2 >= 0.0):
             raise UsageError(f"logreg_l2 must be finite and >= 0, got {self.logreg_l2}")
-        if not widths or len(set(widths)) != len(widths) \
-                or not all(1 <= w <= self.max_len for w in widths):
-            raise UsageError(f"cnn_widths must be distinct and in [1, max_len={self.max_len}], "
+        if not widths or not all(type(w) is int and 1 <= w <= self.max_len for w in widths) \
+                or len(set(widths)) != len(widths):
+            raise UsageError(f"cnn_widths must be distinct integers in [1, max_len={self.max_len}], "
                              f"got {widths}")
 
 
@@ -83,16 +83,18 @@ class TrainConfig:
         _at_least(self, 1, "batch_size", "patience", "max_epochs")
         if not 0.0 <= self.dropout < 1.0:
             raise UsageError(f"dropout must be in [0, 1), got {self.dropout}")
-        if not self.lr > 0.0:
-            raise UsageError(f"lr must be > 0, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise UsageError(f"lr must be finite and > 0, got {self.lr}")
         if not self.clip_lo <= self.clip_hi:
             raise UsageError(f"clip_lo must be <= clip_hi, got {self.clip_lo} > {self.clip_hi}")
 
 
 def _at_least(cfg, floor: int, *names) -> None:
+    """Each named field must be an int (not a float or bool) >= floor."""
     for name in names:
-        if getattr(cfg, name) < floor:
-            raise UsageError(f"{name} must be >= {floor}, got {getattr(cfg, name)}")
+        value = getattr(cfg, name)
+        if type(value) is not int or value < floor:
+            raise UsageError(f"{name} must be an integer >= {floor}, got {value!r}")
 
 
 @dataclass

@@ -10,7 +10,7 @@ in adverb-free sentences so the head word alone cannot give the class away.
 from __future__ import annotations
 
 import json
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 
 from .config import ExtractionConfig
@@ -22,37 +22,30 @@ MARKER = "@@@@"
 
 
 @dataclass
-class AnnotatedSentence:
-    tokens: list
-    pos: list
-    head: list  # 0-based governor index per token, -1 for root/unknown
-
-
-@dataclass
 class Document:
+    """One document as token, POS and head streams. A head is the 0-based
+    index of the token's governor within its own sentence (-1 for root or
+    unknown), and bounds holds each sentence's (start, end) in the streams.
+    A backward window may cross sentence boundaries but never leaves the
+    document."""
     doc_id: str
     section_id: str
-    sentences: list
+    tokens: list = field(default_factory=list)
+    pos: list = field(default_factory=list)
+    head: list = field(default_factory=list)
+    bounds: list = field(default_factory=list)
 
     def flat(self):
-        """Document-level token/pos streams plus (start, end) bounds per
-        sentence; the backward window may cross sentence boundaries but
-        never leaves the document."""
-        tokens, pos, bounds = [], [], []
-        for sent in self.sentences:
-            start = len(tokens)
-            tokens.extend(sent.tokens)
-            pos.extend(sent.pos)
-            bounds.append((start, len(tokens)))
-        return tokens, pos, bounds
+        """The stored (tokens, pos, bounds) streams, not copies. Nothing in
+        presup calls it; perfbench/tracing.py counts its calls by name."""
+        return self.tokens, self.pos, self.bounds
 
 
 @dataclass
 class Occurrence:
-    doc_id: str
     sent_index: int
     adverb: str
-    adverb_index: int
+    adverb_index: int  # within the sentence, like governor_index
     governor_index: int
     governor: str
     governor_pos: str
@@ -108,48 +101,33 @@ class ExtractionStats:
 
 
 def parse_corpus(stream) -> list:
-    """Parse the three-column corpus format into Documents.
+    """Parse the three-column corpus format into Documents, one line of the
+    stream at a time.
 
     Lines: ``#doc <doc_id> <section_id>``, with no tab, opens a document;
     token lines are ``token<TAB>pos<TAB>head_index``; a blank line closes
     the sentence.
     """
     if isinstance(stream, str):
-        lines = stream.splitlines()
-    else:
-        lines = [line.rstrip("\n") for line in stream]
+        stream = stream.splitlines()
 
     docs: list[Document] = []
-    cur_doc: Document | None = None
-    cur_tokens: list = []
-    cur_pos: list = []
-    cur_head: list = []
-
-    def close_sentence(lineno):
-        nonlocal cur_tokens, cur_pos, cur_head
-        if not cur_tokens:
-            return
-        for h in cur_head:
-            if not -1 <= h < len(cur_tokens):
-                raise ParseError(
-                    f"head index {h} out of range for sentence of length {len(cur_tokens)}",
-                    line=lineno)
-        cur_doc.sentences.append(AnnotatedSentence(cur_tokens, cur_pos, cur_head))
-        cur_tokens, cur_pos, cur_head = [], [], []
-
-    for lineno, line in enumerate(lines, start=1):
+    doc: Document | None = None
+    lineno = 0
+    for lineno, line in enumerate(stream, start=1):
+        line = line.rstrip("\n")
         if line.startswith("#doc") and "\t" not in line:  # "#doc<TAB>..." is a token
-            close_sentence(lineno)
+            _close_sentence(doc, lineno)
             parts = line.split()
             if len(parts) != 3:
                 raise ParseError(f"bad document header {line!r}", line=lineno)
-            cur_doc = Document(doc_id=parts[1], section_id=parts[2], sentences=[])
-            docs.append(cur_doc)
+            doc = Document(doc_id=parts[1], section_id=parts[2])
+            docs.append(doc)
             continue
         if not line.strip():
-            close_sentence(lineno)
+            _close_sentence(doc, lineno)
             continue
-        if cur_doc is None:
+        if doc is None:
             raise ParseError("token line before any #doc header", line=lineno)
         fields = line.split("\t")
         if len(fields) != 3:
@@ -162,52 +140,70 @@ def parse_corpus(stream) -> list:
             head_idx = int(head)
         except ValueError:
             raise ParseError(f"head index {head!r} is not an integer", line=lineno) from None
-        cur_tokens.append(token)
-        cur_pos.append(pos)
-        cur_head.append(head_idx)
-    close_sentence(len(lines))
+        doc.tokens.append(token)
+        doc.pos.append(pos)
+        doc.head.append(head_idx)
+    _close_sentence(doc, lineno)
     return docs
+
+
+def _close_sentence(doc: Document | None, lineno: int) -> None:
+    """Bound the tokens appended since the last closed sentence, if any."""
+    if doc is None:
+        return
+    start = doc.bounds[-1][1] if doc.bounds else 0
+    end = len(doc.tokens)
+    if start == end:
+        return
+    for h in doc.head[start:]:
+        if not -1 <= h < end - start:
+            raise ParseError(
+                f"head index {h} out of range for sentence of length {end - start}",
+                line=lineno)
+    doc.bounds.append((start, end))
 
 
 # ---------------------------------------------------------------------------
 # occurrence scanning
 
 
-def resolve_governor(sentence: AnnotatedSentence, adverb_index: int):
+def resolve_governor(doc: Document, sent_index: int, adverb_index: int):
     """Head annotation wins; otherwise fall back to the nearest verb
-    (POS starting with VB), preferring the left. None if unresolvable."""
-    head = sentence.head[adverb_index]
+    (POS starting with VB), preferring the left. Indices are within the
+    sentence; None if unresolvable."""
+    start, end = doc.bounds[sent_index]
+    head = doc.head[start + adverb_index]
     if head >= 0 and head != adverb_index:
         return head
-    n = len(sentence.tokens)
+    pos, n = doc.pos, end - start
     for dist in range(1, n):
         for idx in (adverb_index - dist, adverb_index + dist):
-            if 0 <= idx < n and sentence.pos[idx].startswith("VB"):
+            if 0 <= idx < n and pos[start + idx].startswith("VB"):
                 return idx
     return None
 
 
 def find_occurrences(doc: Document, cfg: ExtractionConfig, stats: ExtractionStats | None = None) -> list:
     targets = set(cfg.adverbs)
+    tokens, pos = doc.tokens, doc.pos
     occurrences = []
-    for sent_index, sent in enumerate(doc.sentences):
-        for i, token in enumerate(sent.tokens):
-            adverb = token.lower()
+    for sent_index, (start, end) in enumerate(doc.bounds):
+        for i in range(end - start):
+            adverb = tokens[start + i].lower()
             if adverb not in targets:
                 continue
-            gov = resolve_governor(sent, i)
+            gov = resolve_governor(doc, sent_index, i)
             if gov is None:
                 if stats is not None:
                     stats.for_adverb(adverb).unresolved_governors += 1
                 continue
             occurrences.append(Occurrence(
-                doc_id=doc.doc_id,
                 sent_index=sent_index,
                 adverb=adverb,
                 adverb_index=i,
                 governor_index=gov,
-                governor=sent.tokens[gov],
-                governor_pos=sent.pos[gov],
+                governor=tokens[start + gov],
+                governor_pos=pos[start + gov],
             ))
     return occurrences
 
@@ -241,11 +237,12 @@ def truncate_sample(sample: Sample, max_len: int = 60) -> Sample:
     return Sample(label=sample.label, tokens=tokens, pos=pos, section=sample.section)
 
 
-def _window(flat, sent_index: int, pivot_index: int,
+def _window(doc: Document, sent_index: int, pivot_index: int,
             cfg: ExtractionConfig, drop_global: int | None = None):
-    """Backward window around a pivot token, given a document's flat()."""
-    tokens, pos, bounds = flat
-    sent_start, sent_end = bounds[sent_index]
+    """Backward window around a pivot token of one sentence; drop_global
+    is a stream index to leave out."""
+    tokens, pos = doc.tokens, doc.pos
+    sent_start, sent_end = doc.bounds[sent_index]
     g = sent_start + pivot_index
     start = max(0, g - cfg.window_before)
     prefix = [i for i in range(start, g) if i != drop_global]
@@ -255,16 +252,14 @@ def _window(flat, sent_index: int, pivot_index: int,
     return out_tokens, out_pos
 
 
-def extract_positive(doc: Document, flat, occ: Occurrence,
-                     cfg: ExtractionConfig) -> Sample | None:
-    """Window around the governor with the triggering adverb deleted; flat
-    is doc.flat(), built once per document by the caller.
+def extract_positive(doc: Document, occ: Occurrence, cfg: ExtractionConfig) -> Sample | None:
+    """Window around the governor with the triggering adverb deleted.
 
     Returns None when another target adverb survives in the window (such a
     sample would leak the label); callers count these."""
-    sent_start, _ = flat[2][occ.sent_index]
+    sent_start, _ = doc.bounds[occ.sent_index]
     drop = sent_start + occ.adverb_index
-    tokens, pos = _window(flat, occ.sent_index, occ.governor_index, cfg, drop_global=drop)
+    tokens, pos = _window(doc, occ.sent_index, occ.governor_index, cfg, drop_global=drop)
     targets = set(cfg.adverbs)
     if any(t.lower() in targets for t in tokens):
         return None
@@ -294,25 +289,23 @@ def extract_negatives(docs: list, occurrences: list, cfg: ExtractionConfig,
         if remaining == 0:
             break
         doc = docs[doc_idx]
-        n_sent = len(doc.sentences)
+        n_sent = len(doc.bounds)
         if n_sent == 0:
             continue
         offset = rng.integers(0, n_sent)
-        flat = None  # built at the first window, once per document
         for k in range(n_sent):
             if remaining == 0:
                 break
             sent_index = (offset + k) % n_sent
-            sent = doc.sentences[sent_index]
-            if any(t.lower() in targets for t in sent.tokens):
+            start, end = doc.bounds[sent_index]
+            sent_tokens = doc.tokens[start:end]
+            if any(t.lower() in targets for t in sent_tokens):
                 continue
-            for i, token in enumerate(sent.tokens):
+            for i, token in enumerate(sent_tokens):
                 queue = demand.get(token)
                 if not queue:
                     continue
-                if flat is None:
-                    flat = doc.flat()
-                tokens, pos = _window(flat, sent_index, i, cfg)
+                tokens, pos = _window(doc, sent_index, i, cfg)
                 sample = truncate_sample(
                     Sample(label="none", tokens=tokens, pos=pos, section=doc.section_id),
                     cfg.max_len)
@@ -459,13 +452,11 @@ def run_extraction(docs: list, cfg: ExtractionConfig, rng: Rng):
 
     kept: list[tuple[Occurrence, Sample]] = []
     for doc in docs:
-        occurrences = find_occurrences(doc, cfg, stats)
-        flat = doc.flat() if occurrences else None
-        for occ in occurrences:
+        for occ in find_occurrences(doc, cfg, stats):
             if not filter_too(occ):
                 stats.for_adverb(occ.adverb).filtered_too += 1
                 continue
-            sample = extract_positive(doc, flat, occ, cfg)
+            sample = extract_positive(doc, occ, cfg)
             if sample is None:
                 stats.for_adverb(occ.adverb).skipped_residual_adverb += 1
                 continue

@@ -20,7 +20,7 @@ import scipy.sparse
 from . import tensor as T
 from .config import ModelConfig
 from .errors import ShapeError, UsageError
-from .extraction import MARKER, Sample
+from .extraction import Sample
 from .optim import ParamStore
 from .rng import Rng, dropout_mask
 from .tensor import Tensor
@@ -471,13 +471,14 @@ class NeuralModel:
         return labels
 
     def state(self) -> dict:
-        """Config, vocabulary, embedding matrix and every named parameter."""
+        """Config, vocabulary, embedding matrix and every named parameter.
+        Each parameter still carries the format's "trainable": true, which
+        loading ignores."""
         return {
             "config": _cfg_dict(self.cfg),
             "vocab": {"tokens": self.vocab.tokens, "pos_tags": self.vocab.pos_tags},
             "embeddings": _array_payload(self.embeddings),
-            "params": {name: dict(_array_payload(t.data),
-                                  trainable=self.params.is_trainable(name))
+            "params": {name: dict(_array_payload(t.data), trainable=True)
                        for name, t in self.params.items()},
         }
 
@@ -499,7 +500,7 @@ class NeuralModel:
             if value.shape != shape:
                 raise UsageError(f"field {field!r}: shape {value.shape}, but the config "
                                  f"and vocabulary call for {shape}")
-            model.params.add(name, Tensor(value), trainable=_field(doc, field + ".trainable"))
+            model.params.add(name, Tensor(value))
         unknown = sorted(name for name in _field(doc, "params") if name not in model.params)
         if unknown:
             raise UsageError(f"field 'params.{unknown[0]}': not a {cls.variant} parameter")

@@ -9,18 +9,16 @@ from .tensor import Tensor
 
 
 class ParamStore:
-    """Named parameter tensors with a per-entry trainable flag. Iteration is
-    always sorted by name, so runs are reproducible."""
+    """Named trainable parameter tensors. Iteration is always sorted by
+    name, so runs are reproducible."""
 
     def __init__(self):
         self._tensors: dict[str, Tensor] = {}
-        self._trainable: dict[str, bool] = {}
 
-    def add(self, name: str, tensor: Tensor, trainable: bool = True) -> Tensor:
+    def add(self, name: str, tensor: Tensor) -> Tensor:
         if name in self._tensors:
             raise UsageError(f"duplicate parameter name {name!r}")
         self._tensors[name] = tensor
-        self._trainable[name] = trainable
         return tensor
 
     def __getitem__(self, name: str) -> Tensor:
@@ -39,17 +37,8 @@ class ParamStore:
         for name in self.names():
             yield name, self._tensors[name]
 
-    def trainable_items(self):
-        for name in self.names():
-            if self._trainable[name]:
-                yield name, self._tensors[name]
-
-    def is_trainable(self, name: str) -> bool:
-        return self._trainable[name]
-
     def param_count(self) -> int:
-        """Total size of trainable entries (frozen tensors excluded)."""
-        return sum(t.size for _, t in self.trainable_items())
+        return sum(t.size for _, t in self.items())
 
     def copy_values(self) -> dict:
         return {name: t.data.copy() for name, t in self.items()}
@@ -72,8 +61,8 @@ class AdamState:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {name: np.zeros_like(t.data) for name, t in store.trainable_items()}
-        self.v = {name: np.zeros_like(t.data) for name, t in store.trainable_items()}
+        self.m = {name: np.zeros_like(t.data) for name, t in store.items()}
+        self.v = {name: np.zeros_like(t.data) for name, t in store.items()}
 
 
 def clip_gradients(grads: dict, lo: float = -1.0, hi: float = 1.0) -> dict:
@@ -88,7 +77,7 @@ def adam_step(store: ParamStore, grads: dict, state: AdamState) -> None:
     state.t += 1
     bc1 = 1.0 - state.beta1 ** state.t
     bc2 = 1.0 - state.beta2 ** state.t
-    for name, tensor in store.trainable_items():
+    for name, tensor in store.items():
         if name not in grads:
             raise UsageError(f"missing gradient for parameter {name!r}")
         g = grads[name]

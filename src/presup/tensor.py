@@ -249,8 +249,8 @@ class Gradients:
         return np.zeros_like(t.data) if g is None else g
 
     def for_store(self, store) -> dict:
-        """Gradients keyed like the ParamStore's trainable entries."""
-        return {name: self.wrt(t) for name, t in store.trainable_items()}
+        """Gradients keyed like the ParamStore's entries."""
+        return {name: self.wrt(t) for name, t in store.items()}
 
 
 def backward(tape: Tape, loss: Tensor, wrt=None) -> Gradients:

@@ -141,7 +141,7 @@ def train(model, train_set, dev_set, cfg: TrainConfig, rng: Rng,
     if not train_set or not dev_set:
         raise UsageError("train: empty train or dev split")
     state = AdamState(model.params, lr=cfg.lr)
-    trainable = [t for _, t in model.params.trainable_items()]
+    trainable = [t for _, t in model.params.items()]
     shuffle_rng = rng.child("shuffle")
     dropout_rng = rng.child("dropout")
 

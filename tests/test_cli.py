@@ -249,7 +249,10 @@ def test_extract_warns_about_each_empty_split(tmp_path, corpus_path, caplog):
     ("model.cnn_widths=[70]", "cnn_widths"),
     ("model.cnn_widths=[0]", "cnn_widths"),
     ("model.cnn_widths=[]", "cnn_widths"),
+    ("model.cnn_widths=[2.5]", "cnn_widths"),
+    ("model.cnn_widths=[true]", "cnn_widths"),
     ("model.hidden_size=0", "hidden_size"),
+    ("model.hidden_size=2.5", "hidden_size"),
     ("model.embed_dim=0", "embed_dim"),
     ("model.pos_dim=0", "pos_dim"),
     ("model.dense_units=0", "dense_units"),
@@ -265,7 +268,12 @@ def test_extract_warns_about_each_empty_split(tmp_path, corpus_path, caplog):
     ("model.logreg_l2=Infinity", "logreg_l2"),
     ("train.lr=-1", "lr"),
     ("train.lr=0", "lr"),
+    ("train.lr=Infinity", "lr"),
     ("train.max_epochs=0", "max_epochs"),
+    ("train.max_epochs=1.5", "max_epochs"),
+    ("train.batch_size=8.5", "batch_size"),
+    ("extraction.window_before=2.5", "window_before"),
+    ("extraction.max_len=10.5", "max_len"),
     ("train.clip_lo=2", "clip_lo"),
 ])
 def test_train_rejects_bad_sizes_before_training(extracted, capsys, override, field):
@@ -274,6 +282,22 @@ def test_train_rejects_bad_sizes_before_training(extracted, capsys, override, fi
     assert _train(cfg, out, 'model.variant="cnn"', override) == 2
     assert f"error: {field} must be" in capsys.readouterr().err
     assert not (out / "checkpoints").exists()
+
+
+@pytest.mark.parametrize("override, field", [
+    ("extraction.window_before=2.5", "window_before"),
+    ("extraction.window_before=true", "window_before"),
+    ("extraction.max_len=10.5", "max_len"),
+])
+def test_extract_rejects_bad_sizes_before_reading(tmp_path, corpus_path, capsys,
+                                                  override, field):
+    cfg = _write_config(tmp_path, corpus_path)
+    out = tmp_path / "out"
+    rc = main(["extract", "--config", str(cfg), "--seed", "42",
+               "--out", str(out), "--set", override])
+    assert rc == 2
+    assert f"error: {field} must be" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_rejects_malformed_sample_with_line_number(extracted, capsys):

@@ -1,5 +1,4 @@
 import io
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +6,7 @@ from hypothesis import strategies as st
 
 from presup.config import ExtractionConfig
 from presup.errors import ParseError, UsageError
-from presup.extraction import (MARKER, AnnotatedSentence, Document, Sample, _marker_problem,
+from presup.extraction import (MARKER, Document, Sample, _marker_problem,
                                extract_positive,
                                filter_too, find_occurrences, parse_corpus, read_samples,
                                resolve_governor, run_extraction, split_dataset,
@@ -29,13 +28,15 @@ def test_parse_corpus_structure(corpus_docs):
     assert len(corpus_docs) == 16
     d01 = _doc(corpus_docs, "d01")
     assert d01.section_id == "2"
-    assert len(d01.sentences) == 1
-    sent = d01.sentences[0]
-    assert sent.tokens == ["We", "will", "go", "to", "the", "park", "again",
-                           "tomorrow", "."]
-    assert sent.pos[2] == "VB"
-    assert sent.head[2] == -1 and sent.head[0] == 2
-    assert len(_doc(corpus_docs, "d03").sentences) == 2
+    assert d01.bounds == [(0, 9)]
+    assert d01.tokens == ["We", "will", "go", "to", "the", "park", "again",
+                          "tomorrow", "."]
+    assert d01.pos[2] == "VB"
+    assert d01.head[2] == -1 and d01.head[0] == 2
+    d03 = _doc(corpus_docs, "d03")
+    assert len(d03.bounds) == 2
+    assert d03.bounds[0][0] == 0 and d03.bounds[0][1] == d03.bounds[1][0]
+    assert d03.bounds[1][1] == len(d03.tokens) == len(d03.pos) == len(d03.head)
 
 
 def test_parse_corpus_errors():
@@ -55,6 +56,17 @@ def test_parse_corpus_errors():
         parse_corpus("#doc d 1\n\tNN\t-1\n")
 
 
+def test_parse_corpus_reads_its_stream_line_by_line():
+    def lines():
+        yield "#doc d 1\n"
+        yield "word\tNN\n"
+        raise AssertionError("read past the malformed line")
+
+    with pytest.raises(ParseError, match="3 tab-separated") as e:
+        parse_corpus(lines())
+    assert e.value.line == 2
+
+
 # any text without a tab or a line break; header fields hold no whitespace either
 _FIELD = st.text(st.characters(blacklist_categories=("Cc", "Zl", "Zp")), min_size=1, max_size=4)
 _NAME = st.text(st.characters(blacklist_categories=("Cc", "Z")), min_size=1, max_size=4)
@@ -69,18 +81,20 @@ def _corpus(draw):
     unless a header or the end of the file follows)."""
     lines, docs = draw(_BLANKS), []
     for _ in range(draw(st.integers(0, 3))):
-        doc = Document(draw(_NAME), draw(_NAME), [])
+        doc = Document(draw(_NAME), draw(_NAME))
         lines += [f"#doc {doc.doc_id} {doc.section_id}"] + draw(_BLANKS)
         n_sent = draw(st.integers(0, 3))
         for k in range(n_sent):
             n = draw(st.integers(1, 4))
             tokens = draw(st.lists(st.one_of(_FIELD, st.sampled_from(["#doc", "#doc x"])),
                                    min_size=n, max_size=n))
-            sent = AnnotatedSentence(tokens, draw(st.lists(_FIELD, min_size=n, max_size=n)),
-                                     draw(st.lists(st.integers(-1, n - 1), min_size=n,
-                                                   max_size=n)))
-            doc.sentences.append(sent)
-            lines += ["\t".join(map(str, row)) for row in zip(sent.tokens, sent.pos, sent.head)]
+            pos = draw(st.lists(_FIELD, min_size=n, max_size=n))
+            head = draw(st.lists(st.integers(-1, n - 1), min_size=n, max_size=n))
+            doc.bounds.append((len(doc.tokens), len(doc.tokens) + n))
+            doc.tokens += tokens
+            doc.pos += pos
+            doc.head += head
+            lines += ["\t".join(map(str, row)) for row in zip(tokens, pos, head)]
             last = k == n_sent - 1
             lines += ([] if last and draw(st.booleans()) else [""]) + draw(_BLANKS)
         docs.append(doc)
@@ -100,18 +114,18 @@ def test_parse_corpus_round_trip_property(corpus):
 
 
 def test_resolve_governor_uses_head_annotation(corpus_docs):
-    sent = _doc(corpus_docs, "d01").sentences[0]
-    assert resolve_governor(sent, 6) == 2  # "again" -> "go"
+    doc = _doc(corpus_docs, "d01")
+    assert resolve_governor(doc, 0, 6) == 2  # "again" -> "go"
 
 
 def test_resolve_governor_falls_back_to_nearest_verb(corpus_docs):
-    sent = _doc(corpus_docs, "d08").sentences[0]  # "again" head is -1
-    assert resolve_governor(sent, 3) == 1  # "went", nearest VB* to the left
+    doc = _doc(corpus_docs, "d08")  # "again" in sentence 0 has head -1
+    assert resolve_governor(doc, 0, 3) == 1  # "went", nearest VB* to the left
 
 
 def test_resolve_governor_unresolvable(corpus_docs):
-    sent = _doc(corpus_docs, "d08").sentences[1]  # "Not yet ." has no verb
-    assert resolve_governor(sent, 1) is None
+    doc = _doc(corpus_docs, "d08")  # sentence 1, "Not yet .", has no verb
+    assert resolve_governor(doc, 1, 1) is None
 
 
 def test_find_occurrences(corpus_docs):
@@ -138,7 +152,7 @@ def test_filter_too(corpus_docs):
 def test_positive_deletes_adverb_and_marks_governor(corpus_docs):
     doc = _doc(corpus_docs, "d01")
     occ = find_occurrences(doc, CFG)[0]
-    sample = extract_positive(doc, doc.flat(), occ, CFG)
+    sample = extract_positive(doc, occ, CFG)
     assert sample.label == "again"
     assert sample.tokens == ["We", "will", MARKER, "go", "to", "the", "park",
                              "tomorrow", "."]
@@ -152,14 +166,14 @@ def test_positive_with_residual_trigger_is_skipped(corpus_docs):
     # leaves the other adverb in its window
     for occ in find_occurrences(doc, CFG):
         if occ.sent_index == 1:
-            assert extract_positive(doc, doc.flat(), occ, CFG) is None
+            assert extract_positive(doc, occ, CFG) is None
 
 
 def test_window_crosses_sentences_and_truncates_to_max_len(corpus_docs):
     doc = _doc(corpus_docs, "d10")
     occ = find_occurrences(doc, CFG)[0]
     assert occ.adverb == "still"
-    sample = extract_positive(doc, doc.flat(), occ, CFG)
+    sample = extract_positive(doc, occ, CFG)
     assert len(sample.tokens) == 60
     # 50-token backward window reaches f15; truncation then drops the two
     # oldest tokens, so the surviving context starts at f17
@@ -267,26 +281,6 @@ def test_run_extraction_is_deterministic(corpus_docs):
                 for name, split in datasets.items()}
 
     assert snapshot() == snapshot()
-
-
-def test_run_extraction_flattens_each_document_once_per_scan(corpus_docs, monkeypatch):
-    # one document holding every fixture sentence five times over: a
-    # flatten per window would call flat() dozens of times on it
-    sentences = [s for d in corpus_docs for s in d.sentences] * 5
-    docs = corpus_docs + [Document("big", "01", sentences)]
-    calls = Counter()
-    flat = Document.flat
-
-    def counted(doc):
-        calls[id(doc)] += 1
-        return flat(doc)
-
-    monkeypatch.setattr(Document, "flat", counted)
-    datasets, _ = run_extraction(docs, CFG, Rng(42))
-    assert len(_all_samples(datasets["all"])) > 30
-    # the positive scan and the negative scan each flatten a document at most once
-    assert calls[id(docs[-1])] <= 2
-    assert max(calls.values()) <= 2
 
 
 def test_run_extraction_seed_changes_split(corpus_docs):

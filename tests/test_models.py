@@ -447,7 +447,7 @@ def test_gradients_through_a_mixed_length_batch(variant):
     tape, out = loss()
     assert tape.replay()
     grads = backward(tape, out).for_store(model.params)
-    for name, p in model.params.trainable_items():
+    for name, p in model.params.items():
         probe = coords.choice(p.data.size, size=min(p.data.size, 8), replace=False)
         fd = fd_gradient(lambda: loss()[1].item(), p.data, coords=probe)
         assert max_rel_err(fd, grads[name]) < 1e-4, name
@@ -475,7 +475,7 @@ def test_backward_wrt_trainables_skips_frozen_inputs(variant, pos_mode):
                 seen.append((needs[0], grads[0]))
                 return grads
             node.vjp = spy
-    pruned = backward(tape, loss, wrt=[t for _, t in model.params.trainable_items()])
+    pruned = backward(tape, loss, wrt=[t for _, t in model.params.items()])
     for name, g in pruned.for_store(model.params).items():
         assert g.tobytes() == full[name].tobytes(), name
     # X holds only frozen word vectors unless a learned POS embedding is in it
@@ -553,7 +553,7 @@ def test_cnn_forward_shape_and_gradients():
 
     tape, l = loss()
     grads = backward(tape, l)
-    for name, t in cnn.params.trainable_items():
+    for name, t in cnn.params.items():
         fd = fd_gradient(lambda: loss()[1].item(), t.data)
         assert max_rel_err(fd, grads.wrt(t)) < 1e-4, name
 

@@ -88,16 +88,13 @@ def _store():
     store = ParamStore()
     store.add("b_second", Tensor(np.zeros((2, 1))))
     store.add("a_first", Tensor(np.ones((3, 3))))
-    store.add("frozen", Tensor(np.full((4, 4), 2.0)), trainable=False)
     return store
 
 
 def test_store_iterates_sorted_and_counts_trainable():
     store = _store()
-    assert [n for n, _ in store.items()] == ["a_first", "b_second", "frozen"]
-    assert [n for n, _ in store.trainable_items()] == ["a_first", "b_second"]
+    assert [n for n, _ in store.items()] == ["a_first", "b_second"]
     assert store.param_count() == 9 + 2
-    assert not store.is_trainable("frozen")
 
 
 def test_store_rejects_duplicates_and_bad_shapes():
@@ -170,12 +167,14 @@ def test_adam_matches_reference_over_steps():
     assert state.t == len(grads_seq)
 
 
-def test_adam_skips_frozen_and_requires_all_gradients():
+def test_adam_updates_every_entry_and_requires_all_gradients():
     store = _store()
     state = AdamState(store, lr=0.1)
-    assert set(state.m) == {"a_first", "b_second"}
+    assert set(state.m) == set(state.v) == {"a_first", "b_second"}
     grads = {"a_first": np.ones((3, 3)), "b_second": np.ones((2, 1))}
     adam_step(store, grads, state)
-    np.testing.assert_array_equal(store["frozen"].data, np.full((4, 4), 2.0))
+    # the first Adam step moves every component by lr against its gradient
+    np.testing.assert_allclose(store["a_first"].data, np.full((3, 3), 0.9))
+    np.testing.assert_allclose(store["b_second"].data, np.full((2, 1), -0.1))
     with pytest.raises(UsageError):
         adam_step(store, {"a_first": np.ones((3, 3))}, state)
