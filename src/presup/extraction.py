@@ -167,20 +167,42 @@ def _close_sentence(doc: Document | None, lineno: int) -> None:
 # occurrence scanning
 
 
-def resolve_governor(doc: Document, sent_index: int, adverb_index: int):
+def _nearest_verbs(doc: Document, start: int, end: int) -> list:
+    """For each position of the sentence [start, end), the index within it of
+    the nearest other verb (POS starting with VB), the left one on a tie;
+    None where the sentence has no other verb. One pass each way."""
+    is_verb = [tag.startswith("VB") for tag in doc.pos[start:end]]
+    nearest, last = [], None
+    for i, verb in enumerate(is_verb):
+        nearest.append(last)
+        if verb:
+            last = i
+    last = None
+    for i in range(end - start - 1, -1, -1):
+        left = nearest[i]
+        if last is not None and (left is None or last - i < i - left):
+            nearest[i] = last
+        if is_verb[i]:
+            last = i
+    return nearest
+
+
+def resolve_governor(doc: Document, sent_index: int, adverb_index: int,
+                     nearest: list | None = None):
     """Head annotation wins; otherwise fall back to the nearest verb
     (POS starting with VB), preferring the left. Indices are within the
-    sentence; None if unresolvable."""
+    sentence; None if unresolvable. A caller that resolves several adverbs
+    of one sentence passes the same list as `nearest`: it starts empty and
+    holds the sentence's nearest-verb table once a fallback has needed it."""
     start, end = doc.bounds[sent_index]
     head = doc.head[start + adverb_index]
     if head >= 0 and head != adverb_index:
         return head
-    pos, n = doc.pos, end - start
-    for dist in range(1, n):
-        for idx in (adverb_index - dist, adverb_index + dist):
-            if 0 <= idx < n and pos[start + idx].startswith("VB"):
-                return idx
-    return None
+    if nearest is None:
+        nearest = []
+    if not nearest:
+        nearest.extend(_nearest_verbs(doc, start, end))
+    return nearest[adverb_index]
 
 
 def find_occurrences(doc: Document, cfg: ExtractionConfig, stats: ExtractionStats | None = None) -> list:
@@ -188,11 +210,12 @@ def find_occurrences(doc: Document, cfg: ExtractionConfig, stats: ExtractionStat
     tokens, pos = doc.tokens, doc.pos
     occurrences = []
     for sent_index, (start, end) in enumerate(doc.bounds):
+        nearest = []
         for i in range(end - start):
             adverb = tokens[start + i].lower()
             if adverb not in targets:
                 continue
-            gov = resolve_governor(doc, sent_index, i)
+            gov = resolve_governor(doc, sent_index, i, nearest)
             if gov is None:
                 if stats is not None:
                     stats.for_adverb(adverb).unresolved_governors += 1
@@ -240,13 +263,16 @@ def truncate_sample(sample: Sample, max_len: int = 60) -> Sample:
 def _window(doc: Document, sent_index: int, pivot_index: int,
             cfg: ExtractionConfig, drop_global: int | None = None):
     """Backward window around a pivot token of one sentence; drop_global
-    is a stream index to leave out."""
+    is a stream index to leave out. The tail after the pivot stops
+    max_len + 1 positions past it: truncate_sample keeps at most
+    max_len - 2 tail tokens of a window whose tail is longer than that, so
+    the cap changes no truncated sample."""
     tokens, pos = doc.tokens, doc.pos
     sent_start, sent_end = doc.bounds[sent_index]
     g = sent_start + pivot_index
     start = max(0, g - cfg.window_before)
     prefix = [i for i in range(start, g) if i != drop_global]
-    tail = [i for i in range(g + 1, sent_end) if i != drop_global]
+    tail = [i for i in range(g + 1, min(sent_end, g + 2 + cfg.max_len)) if i != drop_global]
     out_tokens = [tokens[i] for i in prefix] + [MARKER, tokens[g]] + [tokens[i] for i in tail]
     out_pos = [pos[i] for i in prefix] + [MARKER, pos[g]] + [pos[i] for i in tail]
     return out_tokens, out_pos
@@ -256,7 +282,9 @@ def extract_positive(doc: Document, occ: Occurrence, cfg: ExtractionConfig) -> S
     """Window around the governor with the triggering adverb deleted.
 
     Returns None when another target adverb survives in the window (such a
-    sample would leak the label); callers count these."""
+    sample would leak the label); callers count these. Only the window's
+    capped tail is searched, so an adverb more than max_len + 1 positions
+    past the governor, which no truncated sample can hold, does not count."""
     sent_start, _ = doc.bounds[occ.sent_index]
     drop = sent_start + occ.adverb_index
     tokens, pos = _window(doc, occ.sent_index, occ.governor_index, cfg, drop_global=drop)

@@ -74,31 +74,53 @@ def _batch_lengths(lengths, cols: int) -> tuple:
 
 def embed_sequence(samples, vocab: Vocab, embeddings: np.ndarray,
                    cfg: ModelConfig, params: ParamStore | None = None,
-                   steps: int | None = None) -> Tensor:
-    """Rows are word vectors (rows of the (|V|, d) embeddings), optionally
-    concatenated with a POS feature (one-hot or learned 40-dim embedding),
-    for the batch padded to T = steps rows per sample (default: its longest
-    sample): row b*T + t is token t of sample b. Padded rows use id 0 of
-    each table."""
+                   steps: int | None = None) -> tuple:
+    """(X, first, index) for the batch padded to T = steps rows per sample
+    (default: its longest sample).
+
+    Rows of X are word vectors (rows of the (|V|, d) embeddings), optionally
+    concatenated with a POS feature (one-hot or learned 40-dim embedding):
+    row b*T + t is token t of sample b. Padded rows use id 0 of each table.
+    Rows with the same token id (and POS id, when POS is used) are equal, and
+    so are all padded rows: X.data[first] holds each distinct row once, at
+    its first occurrence, and X.data[first][index] equals X.data."""
     batch = _as_batch(samples)
     steps = steps or max(len(s.tokens) for s in batch)
     ids = np.zeros((len(batch), steps), dtype=np.intp)
-    for row, sample in zip(ids, batch):
-        row[:len(sample.tokens)] = vocab.token_ids(sample.tokens)
+    key = np.full((len(batch), steps), -1, dtype=np.intp)  # padded steps share -1
+    for row, keys, sample in zip(ids, key, batch):
+        row[:len(sample.tokens)] = keys[:len(sample.tokens)] = vocab.token_ids(sample.tokens)
     words = Tensor(embeddings[ids.reshape(-1)])
     if cfg.pos_mode == "off":
-        return words
+        return (words, *_distinct_rows(key))
     pos_ids = np.zeros((len(batch), steps), dtype=np.intp)
     for row, sample in zip(pos_ids, batch):
         row[:len(sample.pos)] = vocab.pos_ids(sample.pos)
+    first, index = _distinct_rows(np.where(key >= 0, key * len(vocab.pos_tags) + pos_ids, -1))
     pos_ids = pos_ids.reshape(-1)
     if cfg.pos_mode == "one_hot":
         onehot = np.zeros((len(pos_ids), len(vocab.pos_tags)))
         onehot[np.arange(len(pos_ids)), pos_ids] = 1.0
-        return Tensor(np.hstack([words.data, onehot]))
+        return Tensor(np.hstack([words.data, onehot])), first, index
     # learned POS embedding rows go through the tape so they receive gradient
     pos_part = T.gather_rows(params["pos_embedding"], pos_ids)
-    return T.concat([words, pos_part], axis=1)
+    return T.concat([words, pos_part], axis=1), first, index
+
+
+def _distinct_rows(key: np.ndarray) -> tuple:
+    """(first, index) of the distinct values of `key`: where each first
+    occurs in key.ravel(), and which distinct value each entry holds."""
+    _, first, index = np.unique(key.reshape(-1), return_index=True, return_inverse=True)
+    return first, index
+
+
+def _row_index(first, index, rows: int) -> tuple:
+    """A distinct-row index over `rows` input rows; none given is the identity."""
+    if first is None:
+        first = index = np.arange(rows)
+    if index.shape != (rows,):
+        raise ShapeError(f"distinct-row index {index.shape} does not fit {rows} rows")
+    return first, index
 
 
 def input_width(cfg: ModelConfig, vocab: Vocab) -> int:
@@ -110,17 +132,20 @@ def input_width(cfg: ModelConfig, vocab: Vocab) -> int:
 
 
 def lstm_sequence(X: Tensor, W: Tensor, b: Tensor, reverse: bool,
-                  lengths=None) -> Tensor:
+                  lengths=None, first=None, index=None) -> Tensor:
     """Run one LSTM direction over a padded batch as a single fused tape
     node. X is (B*T, n), row b*T + t = step t of sample b; lengths holds
-    each sample's real steps (None: one sequence of all rows). Returns the
-    hidden states as an (s, B*T) matrix whose padded columns are zero.
+    each sample's real steps (None: one sequence of all rows). first and
+    index are embed_sequence's distinct-row index of X (None: every row is
+    distinct). Returns the hidden states as an (s, B*T) matrix whose padded
+    columns are zero.
 
     W is (4s x (n+s)) with gate order i, f, g, o over [x_t ; h_prev]; initial
-    h and c are zero. The input projection of every row is one GEMM before
-    the loop, so each step only multiplies the (B, s) state by the
-    recurrent weights. A padded step carries the state through unchanged,
-    so the reverse direction starts at each sample's own last token. The
+    h and c are zero. The input projection of the distinct rows X[first] is
+    one GEMM before the loop, gathered back to every row through index, so
+    each step only multiplies the (B, s) state by the recurrent weights. A
+    padded step carries the state through unchanged, so the reverse
+    direction starts at each sample's own last token. The
     closed-form vector-Jacobian product runs backpropagation through time
     with the gate gradients masked the same way, then forms dW as two GEMMs
     over the stacked gate gradients; dX is skipped when X needs no gradient
@@ -129,13 +154,14 @@ def lstm_sequence(X: Tensor, W: Tensor, b: Tensor, reverse: bool,
     s = W.shape[0] // 4
     rows, n = X.shape
     lengths, steps = _batch_lengths(lengths, rows)
+    first, index = _row_index(first, index, rows)
     B = len(lengths)
     real = np.arange(steps) < lengths[:, None]  # (B, T)
     order = range(steps - 1, -1, -1) if reverse else range(steps)
 
     def fwd_full():
         W_x, W_h = W.data[:, :n], W.data[:, n:]
-        proj = (X.data @ W_x.T + b.data.T).reshape(B, steps, 4 * s)
+        proj = (X.data[first] @ W_x.T + b.data.T)[index].reshape(B, steps, 4 * s)
         out = np.zeros((steps, B, s))
         h_prev = np.zeros((B, steps, s))
         cache = []
@@ -192,14 +218,17 @@ def lstm_sequence(X: Tensor, W: Tensor, b: Tensor, reverse: bool,
     return T._record(Tensor(out_data), (X, W, b), lambda: fwd_full()[0], vjp)
 
 
-def conv_max_pool(X: Tensor, W: Tensor, b: Tensor, width: int, steps: int) -> Tensor:
+def conv_max_pool(X: Tensor, W: Tensor, b: Tensor, width: int, steps: int,
+                  first=None, index=None) -> Tensor:
     """Convolution, bias, relu and max-over-time pooling of a padded batch
     as one fused tape node. X is (B*steps, n), row b*steps + t = step t of
-    sample b; W is (width*n, maps) and b is (1, maps).
+    sample b; W is (width*n, maps) and b is (1, maps). first and index are
+    embed_sequence's distinct-row index of X (None: every row is distinct).
 
     The window at t < m = steps - width + 1 of sample b scores
     sum_j X[b*steps + t + j] @ W[j*n : (j+1)*n] + b, summed in ascending j
-    from one GEMM of every row of X against W laid out as (n, width*maps).
+    from one GEMM of the distinct rows X[first] against W laid out as
+    (n, width*maps), gathered back to each window's rows through index.
     The output is (maps, B): the relu of each map's highest window score.
     Windows over padded rows count like any other. The gradient goes to the
     first window that reaches the maximum, where that maximum is positive;
@@ -213,20 +242,22 @@ def conv_max_pool(X: Tensor, W: Tensor, b: Tensor, width: int, steps: int) -> Te
     if W.shape[0] != width * n or b.shape != (1, maps) or B * steps != rows or m < 1:
         raise ShapeError(f"conv_max_pool: width {width} over {X.shape} in samples of "
                          f"{steps} rows, with W {W.shape} and b {b.shape}")
+    first, index = _row_index(first, index, rows)
+    index = index.reshape(B, steps)
 
     def fwd_full():
         by_shift = W.data.reshape(width, n, maps).transpose(1, 0, 2).reshape(n, width * maps)
-        P = (X.data @ by_shift).reshape(B, steps, width, maps)
-        acc = P[:, 0:m, 0].copy()
+        P = (X.data[first] @ by_shift).reshape(-1, width, maps)
+        acc = P[index[:, 0:m], 0]
         for j in range(1, width):
-            acc += P[:, j:j + m, j]
+            acc += P[index[:, j:j + m], j]
         acc += b.data
-        first = acc.argmax(axis=1)  # (B, maps)
-        top = np.take_along_axis(acc, first[:, None], axis=1)[:, 0]
-        return np.maximum(top, 0.0).T.copy(), first.T, top.T > 0.0
+        win = acc.argmax(axis=1)  # (B, maps): the first window at each maximum
+        top = np.take_along_axis(acc, win[:, None], axis=1)[:, 0]
+        return np.maximum(top, 0.0).T.copy(), win.T, top.T > 0.0
 
-    out, first, positive = fwd_full()
-    starts = first + np.arange(B) * steps  # (maps, B): first row of each winning window
+    out, win, positive = fwd_full()
+    starts = win + np.arange(B) * steps  # (maps, B): first row of each winning window
     indptr = np.arange(0, maps * B + 1, B)
 
     def vjp(g, needs):
@@ -457,6 +488,15 @@ class NeuralModel:
                 rng.uniform(-INIT_SCALE, INIT_SCALE, shape)
             self.params.add(name, Tensor(value))
 
+    def _lengths(self, batch: list) -> np.ndarray:
+        """Token count of every sample of the batch. A sample longer than
+        model.max_len is a UsageError, raised before anything is embedded."""
+        lengths = np.array([len(s.tokens) for s in batch])
+        if lengths.max() > self.cfg.max_len:
+            raise UsageError(f"a sample of {lengths.max()} tokens is longer than "
+                             f"model.max_len={self.cfg.max_len}")
+        return lengths
+
     def predict_labels(self, samples) -> list:
         """Argmax label of every sample, scored in length-sorted chunks of
         EVAL_CHUNK so that each chunk carries little padding."""
@@ -548,11 +588,11 @@ class RecurrentClassifier(NeuralModel):
         if return_trace and len(batch) != 1:
             raise UsageError("return_trace needs a single sample")
         cfg, p = self.cfg, self.params
-        lengths = np.array([len(s.tokens) for s in batch])
+        lengths = self._lengths(batch)
         steps = int(lengths.max())
-        X = embed_sequence(batch, self.vocab, self.embeddings, cfg, p)
-        H = T.concat([lstm_sequence(X, p["lstm_fwd_W"], p["lstm_fwd_b"], False, lengths),
-                      lstm_sequence(X, p["lstm_bwd_W"], p["lstm_bwd_b"], True, lengths)],
+        X, first, index = embed_sequence(batch, self.vocab, self.embeddings, cfg, p)
+        H = T.concat([lstm_sequence(X, p[f"lstm_{d}_W"], p[f"lstm_{d}_b"], d == "bwd",
+                                    lengths, first, index) for d in ("fwd", "bwd")],
                      axis=0)
         trace_parts = None
         if alpha_override is not None:
@@ -619,13 +659,14 @@ class CnnModel(NeuralModel):
         over the whole batch."""
         batch = _as_batch(samples)
         cfg, p = self.cfg, self.params
-        lengths = np.array([len(s.tokens) for s in batch])
-        if lengths.max() > cfg.max_len:
-            raise UsageError(f"sample longer than max_len={cfg.max_len}")
-        X = embed_sequence(batch, self.vocab, self.embeddings, cfg, p, steps=cfg.max_len)
+        lengths = self._lengths(batch)
+        X, first, index = embed_sequence(batch, self.vocab, self.embeddings, cfg, p,
+                                         steps=cfg.max_len)
         real = np.arange(cfg.max_len) < lengths[:, None]
-        X = T.mul(X, Tensor(real.reshape(-1, 1)))  # padded rows hold id 0, not zeros
-        feat = T.concat([conv_max_pool(X, p[f"conv{w}_W"], p[f"conv{w}_b"], w, cfg.max_len)
+        # padded rows hold id 0, not zeros; they share one distinct row, now zero
+        X = T.mul(X, Tensor(real.reshape(-1, 1)))
+        feat = T.concat([conv_max_pool(X, p[f"conv{w}_W"], p[f"conv{w}_b"], w, cfg.max_len,
+                                       first, index)
                          for w in cfg.cnn_widths], axis=0)
         feat = _dropout(feat, mode, rng, dropout_p)
         logits = T.add(T.matmul(p["out_W"], feat), p["out_b"])

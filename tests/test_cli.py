@@ -1,13 +1,19 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from presup.checkpoint import save_checkpoint
 from presup.cli import main
-from presup.config import apply_overrides
+from presup.config import ModelConfig, apply_overrides
 from presup.errors import UsageError
+from presup.extraction import MARKER, Sample, write_samples
+from presup.models import VARIANTS
+from presup.rng import Rng
+from presup.vocab import build_vocab
 
 
 def _write_config(tmp_path: Path, corpus_path: Path, dev_fraction=0.1,
@@ -319,3 +325,29 @@ def test_eval_rejects_malformed_sample_with_line_number(extracted, capsys):
                    "--out", str(out)])
         assert rc == 2, name
         assert "line 2:" in capsys.readouterr().err, name
+
+
+@pytest.mark.parametrize("variant", ["wp", "lstm"])
+def test_eval_rejects_overlong_sample_before_attention(tmp_path, capsys, variant):
+    n = 5_000
+    samples = [Sample("again", ["we", MARKER, "go", "home"], ["PRP", MARKER, "VB", "NN"], "0")]
+    cfg = ModelConfig(variant=variant, hidden_size=3, embed_dim=4, dense_units=3)
+    vocab = build_vocab(samples)
+    rng = Rng(3)
+    model = VARIANTS[variant](cfg, vocab, rng.uniform(-0.5, 0.5, (len(vocab.tokens), 4)),
+                              rng=rng)
+    ckpt = tmp_path / f"{variant}.json"
+    save_checkpoint(ckpt, model)
+    data = tmp_path / "long.jsonl"
+    write_samples(data, [Sample("none", ["we", MARKER] + ["go"] * (n - 2),
+                                ["PRP", MARKER] + ["VB"] * (n - 2), "0")])
+    tracemalloc.start()
+    try:
+        rc = main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                   "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert f"longer than model.max_len={cfg.max_len}" in capsys.readouterr().err
+    assert peak < n * n * 8 / 100  # one (T, T) float64 array is 200 MB

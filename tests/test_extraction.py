@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from presup.config import ExtractionConfig
 from presup.errors import ParseError, UsageError
-from presup.extraction import (MARKER, Document, Sample, _marker_problem,
+from presup.extraction import (MARKER, Document, Sample, _marker_problem, _window,
                                extract_positive,
                                filter_too, find_occurrences, parse_corpus, read_samples,
                                resolve_governor, run_extraction, split_dataset,
@@ -128,6 +128,74 @@ def test_resolve_governor_unresolvable(corpus_docs):
     assert resolve_governor(doc, 1, 1) is None
 
 
+def _walk_governor(doc, sent_index, adverb_index):
+    """Reference fallback: walk outward from the adverb, left before right."""
+    start, end = doc.bounds[sent_index]
+    head = doc.head[start + adverb_index]
+    if head >= 0 and head != adverb_index:
+        return head
+    for dist in range(1, end - start):
+        for idx in (adverb_index - dist, adverb_index + dist):
+            if 0 <= idx < end - start and doc.pos[start + idx].startswith("VB"):
+                return idx
+    return None
+
+
+@st.composite
+def _headless_doc(draw):
+    """A document whose sentences mix verbs, target adverbs and missing heads."""
+    doc = Document("d", "0")
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 12))
+        doc.bounds.append((len(doc.tokens), len(doc.tokens) + n))
+        doc.tokens += draw(st.lists(st.sampled_from(["again", "Too", "go", "x"]),
+                                    min_size=n, max_size=n))
+        doc.pos += draw(st.lists(st.sampled_from(["VB", "VBD", "RB", "NN", "JJ"]),
+                                 min_size=n, max_size=n))
+        doc.head += draw(st.lists(st.integers(-1, n - 1), min_size=n, max_size=n))
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(_headless_doc())
+def test_governor_fallback_matches_outward_walk(doc):
+    for sent_index, (start, end) in enumerate(doc.bounds):
+        nearest = []
+        for i in range(end - start):
+            expected = _walk_governor(doc, sent_index, i)
+            assert resolve_governor(doc, sent_index, i) == expected
+            assert resolve_governor(doc, sent_index, i, nearest) == expected
+    expected = [(k, i, _walk_governor(doc, k, i))
+                for k, (start, end) in enumerate(doc.bounds) for i in range(end - start)
+                if doc.tokens[start + i].lower() in CFG.adverbs]
+    found = [(o.sent_index, o.adverb_index, o.governor_index)
+             for o in find_occurrences(doc, CFG)]
+    assert found == [e for e in expected if e[2] is not None]
+
+
+def test_governor_fallback_inspects_each_position_once():
+    n = 20_000
+    inspected = 0
+
+    class Tag(str):
+        def startswith(self, *args):
+            nonlocal inspected
+            inspected += 1
+            if inspected > 2 * n:  # an outward walk per adverb stops here
+                raise AssertionError(f"{inspected} POS tags inspected for {n} tokens")
+            return str.startswith(self, *args)
+
+    # one head-less sentence of adverbs around a single verb
+    pos = [Tag("RB")] * n
+    pos[n // 2] = Tag("VBD")
+    doc = Document("d", "0", tokens=["again"] * n, pos=pos, head=[-1] * n,
+                   bounds=[(0, n)])
+    occurrences = find_occurrences(doc, CFG)
+    assert inspected == n
+    assert len(occurrences) == n - 1
+    assert {o.governor_index for o in occurrences} == {n // 2}
+
+
 def test_find_occurrences(corpus_docs):
     occs = find_occurrences(_doc(corpus_docs, "d01"), CFG)
     assert len(occs) == 1
@@ -183,6 +251,38 @@ def test_window_crosses_sentences_and_truncates_to_max_len(corpus_docs):
         "the", "committee", "has", MARKER, "approved"]
     assert sample.tokens[-3:] == ["next", "week", "."]
     assert "still" not in sample.tokens
+
+
+def test_window_tail_stops_past_max_len():
+    # one 8,000-token sentence: every window's tail is capped, not the
+    # rest of the sentence
+    n = 8_000
+    doc = Document("d", "0", tokens=["go"] * n, pos=["VB"] * n, head=[-1] * n,
+                   bounds=[(0, n)])
+    cfg = ExtractionConfig()
+    longest = 0
+    for g in range(n):
+        tokens, _ = _window(doc, 0, g, cfg)
+        prefix = min(g, cfg.window_before)
+        longest = max(longest, len(tokens) - prefix - 2)
+    assert longest == cfg.max_len + 1
+
+
+def test_capped_window_truncates_to_the_uncapped_sample():
+    # a long tail, the adverb after the governor, and a second target adverb
+    # past the cap, which no truncated sample can hold
+    n = 200
+    tokens = [f"w{i}" for i in range(n)]
+    pos = ["NN"] * n
+    tokens[5], pos[5] = "went", "VBD"
+    tokens[6], pos[6] = "again", "RB"
+    tokens[150], pos[150] = "too", "RB"
+    doc = Document("d", "0", tokens=tokens, pos=pos, head=[-1] * n, bounds=[(0, n)])
+    occ = find_occurrences(doc, CFG)[0]
+    sample = extract_positive(doc, occ, CFG)
+    full = [t for i, t in enumerate(tokens) if i != 6]
+    assert sample.tokens == full[:5] + [MARKER] + full[5:5 + CFG.max_len - 6]
+    assert "too" not in sample.tokens
 
 
 def test_truncate_drops_tail_when_marker_is_early():

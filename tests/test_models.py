@@ -434,7 +434,12 @@ def test_gradients_through_a_mixed_length_batch(variant):
         # a window over zero padding scores exactly the bias: off zero, it
         # keeps the pooled maximum away from the relu kink
         model.params[f"conv{w}_b"].data += 0.1
-    batch = _mixed_batch(seed=2, lengths=[4, 1, 6, 2])
+    # repeated (token, POS) pairs: the projection runs over distinct rows,
+    # while the learned POS rows still get a gradient from every step
+    batch = _mixed_batch(seed=2, lengths=[4, 1, 6, 2]) + _repetitive_batch()
+    _, first, _ = embed_sequence(batch, model.vocab, model.embeddings, model.cfg,
+                                 model.params)
+    assert 2 * len(first) < sum(len(s.tokens) for s in batch)
     labels = [sample_target(s) for s in batch]
     coords = np.random.default_rng(7)
 
@@ -507,26 +512,103 @@ def test_embed_sequence_widths_and_unknowns():
     samples, vocab, model = _setup("wp")
     emb = model.embeddings
     cfg_off = model.cfg
-    X = embed_sequence(samples[0], vocab, emb, cfg_off, model.params)
+    X, _, _ = embed_sequence(samples[0], vocab, emb, cfg_off, model.params)
     assert X.shape == (6, input_width(cfg_off, vocab)) == (6, 6)
 
     cfg_hot = ModelConfig(variant="wp", hidden_size=4, embed_dim=6,
                           pos_mode="one_hot")
-    X_hot = embed_sequence(samples[0], vocab, emb, cfg_hot, None)
+    X_hot, _, _ = embed_sequence(samples[0], vocab, emb, cfg_hot, None)
     assert X_hot.shape == (6, 6 + len(vocab.pos_tags))
     row = X_hot.data[0]
     assert row[6:].sum() == 1.0  # exactly one active POS bit
 
     unknown = Sample("none", ["zzz", MARKER, "run"], ["XX", MARKER, "VB"], "0")
-    X_unk = embed_sequence(unknown, vocab, emb, cfg_off, None)
+    X_unk, _, _ = embed_sequence(unknown, vocab, emb, cfg_off, None)
     np.testing.assert_array_equal(X_unk.data[0], emb[vocab.unk_id])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_distinct_rows_rebuild_every_row(data):
+    pos_mode = data.draw(st.sampled_from(["off", "one_hot", "embed"]), label="pos_mode")
+    _, vocab, model = _setup("wp", pos_mode=pos_mode, pos_dim=3)
+    # tokens and tags the vocabulary lacks share its unknown rows
+    lengths = data.draw(st.lists(st.integers(1, 9), min_size=1, max_size=5), label="lengths")
+    batch = [Sample("none",
+                    data.draw(st.lists(st.sampled_from(WORDS + ["zzz", "qqq"]),
+                                       min_size=n, max_size=n)),
+                    data.draw(st.lists(st.sampled_from(TAGS + ["XX"]), min_size=n, max_size=n)),
+                    "0")
+             for n in lengths]
+    steps = data.draw(st.sampled_from([max(lengths), max(lengths) + 2]), label="steps")
+    X, first, index = embed_sequence(batch, vocab, model.embeddings, model.cfg,
+                                     model.params, steps)
+    assert X.data[first][index].tobytes() == X.data.tobytes()
+    # one distinct row per token id (and POS id, when POS is used), plus
+    # one for all padded steps
+    rows = {}
+    for b, sample in enumerate(batch):
+        ids = vocab.token_ids(sample.tokens)
+        tags = vocab.pos_ids(sample.pos) if pos_mode != "off" else ids
+        for t in range(steps):
+            key = (ids[t], tags[t]) if t < len(ids) else "pad"
+            assert rows.setdefault(key, index[b * steps + t]) == index[b * steps + t]
+    assert len(rows) == len(first)
+
+
+def _repetitive_batch(lengths=(9, 4, 9, 1, 7)):
+    """Samples drawn from three tokens and two tags: most rows repeat."""
+    batch = []
+    for k, n in enumerate(lengths):
+        tokens = [WORDS[(k + t) % 3] for t in range(n)]
+        pos = [TAGS[(k * t) % 2] for t in range(n)]
+        tokens[n // 2] = pos[n // 2] = MARKER
+        batch.append(Sample("again" if k % 2 else "none", tokens, pos, "0"))
+    return batch
+
+
+@pytest.mark.parametrize("pos_mode", ["off", "one_hot", "embed"])
+@pytest.mark.parametrize("variant", ["wp", "lstm", "cnn"])
+def test_forward_over_distinct_rows_matches_per_row_projection(variant, pos_mode,
+                                                               monkeypatch):
+    _, _, model = _setup(variant, pos_mode=pos_mode, pos_dim=3, max_len=10,
+                         cnn_widths=(2, 3))
+    batch = _repetitive_batch()
+    X, first, _ = embed_sequence(batch, model.vocab, model.embeddings, model.cfg,
+                                 model.params)
+    assert 3 * len(first) < X.shape[0]
+    y_hat, _ = model.forward(batch)
+    # the reference projects every row: each one is its own distinct row
+    monkeypatch.setattr(models, "_distinct_rows",
+                        lambda key: (np.arange(key.size), np.arange(key.size)))
+    reference, _ = model.forward(batch)
+    np.testing.assert_allclose(y_hat.data, reference.data, rtol=0, atol=1e-12)
+
+
+def test_cnn_padded_steps_share_an_all_zero_row(monkeypatch):
+    _, _, cnn = _setup("cnn", cnn_widths=(2, 3), max_len=10)
+    batch = _repetitive_batch()
+    seen = []
+
+    def spy(X, W, b, width, steps, first, index):
+        seen.append((X.data, first, index))
+        return conv_max_pool(X, W, b, width, steps, first, index)
+
+    monkeypatch.setattr(models, "conv_max_pool", spy)
+    cnn.forward(batch)
+    assert len(seen) == 2
+    padded = [b * 10 + t for b, sample in enumerate(batch)
+              for t in range(len(sample.tokens), 10)]
+    for X, first, index in seen:
+        assert len(set(index[padded].tolist())) == 1
+        np.testing.assert_array_equal(X[first][index[padded[0]]], 0.0)
 
 
 def test_pos_embedding_is_learned():
     samples, _, model = _setup("wp", pos_mode="embed", pos_dim=3)
     assert "pos_embedding" in model.params
-    X = embed_sequence(samples[0], model.vocab, model.embeddings, model.cfg,
-                       model.params)
+    X, _, _ = embed_sequence(samples[0], model.vocab, model.embeddings, model.cfg,
+                             model.params)
     assert X.shape == (6, 6 + 3)
     with Tape() as tape:
         y_hat, _ = model.forward(samples[0])
