@@ -18,12 +18,13 @@ from pathlib import Path
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, apply_overrides, load_config_dict
 from .errors import ParseError, UsageError
-from .extraction import parse_corpus, read_samples, run_extraction, write_samples
+from .extraction import (parse_corpus, read_samples, run_extraction, sample_target,
+                         write_samples)
 from .fileio import atomic_write
 from .metrics import contingency, mcnemar
 from .models import VARIANTS
 from .rng import Rng
-from .training import evaluate, sample_target, train
+from .training import evaluate, train
 from .vocab import build_embedding_table, build_vocab, load_embeddings
 
 

@@ -23,12 +23,64 @@ class ExtractionConfig:
     dev_fraction: float = 0.10
 
     def __post_init__(self):
-        self.adverbs = tuple(self.adverbs)
-        self.test_sections = tuple(str(s) for s in self.test_sections)
+        adverbs, sections = self.adverbs, self.test_sections
+        # each adverb names a dataset directory, beside the pooled "all", and
+        # labels its positives, against the negatives' "none"
+        words = isinstance(adverbs, (list, tuple)) and all(
+            type(a) is str and a.isalpha() and a == a.lower() and a not in ("all", "none")
+            for a in adverbs)
+        if not words or not adverbs or len(set(adverbs)) != len(adverbs):
+            raise UsageError("adverbs must be a non-empty list of distinct lowercase words "
+                             f"(letters only) other than 'all' and 'none', got {adverbs!r}")
+        if not isinstance(sections, (list, tuple)):
+            raise UsageError(f"test_sections must be a list, got {sections!r}")
+        self.adverbs = tuple(adverbs)
+        self.test_sections = tuple(str(s) for s in sections)
         _at_least(self, 1, "window_before")
         if not 0.0 < self.dev_fraction < 1.0:
             raise UsageError(f"dev_fraction must be in (0, 1), got {self.dev_fraction}")
         _at_least(self, 2, "max_len")
+        # derived once here, not fields: not config keys, not in encode()
+        self.targets = frozenset(self.adverbs)
+        self.test_spec = _parse_section_spec(self.test_sections)
+
+    def is_test_section(self, section: str) -> bool:
+        """True iff samples from this corpus section go to the test split."""
+        ranges, singles = self.test_spec
+        if section in singles:
+            return True
+        try:
+            v = int(section)
+        except ValueError:
+            return False
+        return any(lo <= v <= hi for lo, hi in ranges)
+
+
+def _parse_section_spec(test_sections) -> tuple:
+    """(sorted non-overlapping (lo, hi) ranges, set of other section names)
+    for a test_sections list of "lo-hi" ranges, numbers and names."""
+    ranges = []
+    singles = set()
+    for item in test_sections:
+        if "-" in item:
+            lo_s, _, hi_s = item.partition("-")
+            try:
+                lo, hi = int(lo_s), int(hi_s)
+            except ValueError:
+                raise UsageError(f"test_sections: bad section range {item!r}") from None
+            if lo > hi:
+                raise UsageError(f"test_sections: bad section range {item!r}")
+            ranges.append((lo, hi))
+        elif item.isdigit():
+            ranges.append((int(item), int(item)))
+        else:
+            singles.add(item)
+    ranges.sort()
+    for (alo, ahi), (blo, bhi) in zip(ranges, ranges[1:]):
+        if blo <= ahi:
+            raise UsageError(
+                f"test_sections: overlapping ranges {alo}-{ahi} and {blo}-{bhi}")
+    return ranges, singles
 
 
 @dataclass
@@ -81,6 +133,8 @@ class TrainConfig:
 
     def __post_init__(self):
         _at_least(self, 1, "batch_size", "patience", "max_epochs")
+        if type(self.dataset) is not str or not self.dataset:
+            raise UsageError(f"dataset must be a non-empty string, got {self.dataset!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise UsageError(f"dropout must be in [0, 1), got {self.dropout}")
         if not (math.isfinite(self.lr) and self.lr > 0.0):
@@ -105,30 +159,34 @@ class RunConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
 
+    def __post_init__(self):
+        if type(self.seed) is not int:
+            raise UsageError(f"seed must be an integer, got {self.seed!r}")
+        if not isinstance(self.paths, dict) or \
+                not all(type(path) is str for path in self.paths.values()):
+            raise UsageError(f"paths must be an object of path strings, got {self.paths!r}")
+
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
         known = {"seed", "paths", "extraction", "model", "train"}
         unknown = set(d) - known
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        try:
-            return cls(
-                seed=int(d.get("seed", 0)),
-                paths=dict(d.get("paths", {})),
-                extraction=ExtractionConfig(**d.get("extraction", {})),
-                model=ModelConfig(**d.get("model", {})),
-                train=TrainConfig(**d.get("train", {})),
-            )
-        except TypeError as e:
-            raise UsageError(f"bad config: {e}") from None
+        return cls(
+            seed=d.get("seed", 0),
+            paths=d.get("paths", {}),
+            extraction=decode(ExtractionConfig, d.get("extraction", {})),
+            model=decode(ModelConfig, d.get("model", {})),
+            train=decode(TrainConfig, d.get("train", {})),
+        )
 
     def to_dict(self) -> dict:
         return {
             "seed": self.seed,
             "paths": dict(self.paths),
-            "extraction": _asdict(self.extraction),
-            "model": _asdict(self.model),
-            "train": _asdict(self.train),
+            "extraction": encode(self.extraction),
+            "model": encode(self.model),
+            "train": encode(self.train),
         }
 
     def sub_seed(self, name: str) -> int:
@@ -136,9 +194,18 @@ class RunConfig:
         return derive_seed(self.seed, name)
 
 
-def _asdict(dc) -> dict:
-    out = dataclasses.asdict(dc)
+def encode(section) -> dict:
+    """A config section's fields as JSON values: tuples become lists."""
+    out = dataclasses.asdict(section)
     return {k: (list(v) if isinstance(v, tuple) else v) for k, v in out.items()}
+
+
+def decode(cls, fields):
+    """Inverse of encode(); a key that cls lacks is a UsageError."""
+    try:
+        return cls(**fields)
+    except TypeError as e:
+        raise UsageError(f"bad config: {e}") from None
 
 
 def load_config_dict(path) -> dict:

@@ -59,6 +59,11 @@ class Sample:
     section: str = ""
 
 
+def sample_target(sample: Sample) -> int:
+    """The class of a sample: 0 for a "none" negative, 1 for a positive."""
+    return 0 if sample.label == "none" else 1
+
+
 @dataclass
 class DatasetSplit:
     train: list
@@ -67,7 +72,7 @@ class DatasetSplit:
 
     def counts(self):
         def pn(samples):
-            p = sum(1 for s in samples if s.label != "none")
+            p = sum(map(sample_target, samples))
             return {"positive": p, "negative": len(samples) - p, "total": len(samples)}
         return {"train": pn(self.train), "dev": pn(self.dev), "test": pn(self.test)}
 
@@ -206,7 +211,7 @@ def resolve_governor(doc: Document, sent_index: int, adverb_index: int,
 
 
 def find_occurrences(doc: Document, cfg: ExtractionConfig, stats: ExtractionStats | None = None) -> list:
-    targets = set(cfg.adverbs)
+    targets = cfg.targets
     tokens, pos = doc.tokens, doc.pos
     occurrences = []
     for sent_index, (start, end) in enumerate(doc.bounds):
@@ -288,7 +293,7 @@ def extract_positive(doc: Document, occ: Occurrence, cfg: ExtractionConfig) -> S
     sent_start, _ = doc.bounds[occ.sent_index]
     drop = sent_start + occ.adverb_index
     tokens, pos = _window(doc, occ.sent_index, occ.governor_index, cfg, drop_global=drop)
-    targets = set(cfg.adverbs)
+    targets = cfg.targets
     if any(t.lower() in targets for t in tokens):
         return None
     sample = Sample(label=occ.adverb, tokens=tokens, pos=pos, section=doc.section_id)
@@ -305,7 +310,7 @@ def extract_negatives(docs: list, occurrences: list, cfg: ExtractionConfig,
     Returns (adverb_group, Sample) pairs so negatives stay attached to the
     per-adverb dataset their positive came from.
     """
-    targets = set(cfg.adverbs)
+    targets = cfg.targets
     demand: dict[str, deque] = {}
     for occ in occurrences:
         demand.setdefault(occ.governor, deque()).append(occ.adverb)
@@ -375,58 +380,20 @@ def validate_sample(sample: Sample, cfg: ExtractionConfig) -> None:
         raise UsageError(problem)
     if len(sample.tokens) > cfg.max_len:
         raise UsageError(f"sample longer than {cfg.max_len} tokens")
-    if sample.label != "none":
-        targets = set(cfg.adverbs)
-        if any(t.lower() in targets for t in sample.tokens):
-            raise UsageError("positive sample contains a target adverb")
+    if sample_target(sample) and any(t.lower() in cfg.targets for t in sample.tokens):
+        raise UsageError("positive sample contains a target adverb")
 
 
 # ---------------------------------------------------------------------------
 # splitting and serialization
 
 
-def _parse_section_spec(test_sections):
-    ranges = []
-    singles = set()
-    for item in test_sections:
-        item = str(item)
-        if "-" in item:
-            lo_s, _, hi_s = item.partition("-")
-            try:
-                lo, hi = int(lo_s), int(hi_s)
-            except ValueError:
-                raise UsageError(f"bad section range {item!r}") from None
-            if lo > hi:
-                raise UsageError(f"bad section range {item!r}")
-            ranges.append((lo, hi))
-        elif item.isdigit():
-            ranges.append((int(item), int(item)))
-        else:
-            singles.add(item)
-    ranges.sort()
-    for (alo, ahi), (blo, bhi) in zip(ranges, ranges[1:]):
-        if blo <= ahi:
-            raise UsageError(
-                f"overlapping test section ranges {alo}-{ahi} and {blo}-{bhi}")
-    return ranges, singles
-
-
-def _is_test_section(section: str, ranges, singles) -> bool:
-    if section in singles:
-        return True
-    try:
-        v = int(section)
-    except ValueError:
-        return False
-    return any(lo <= v <= hi for lo, hi in ranges)
-
-
 def split_dataset(samples: list, cfg: ExtractionConfig, rng: Rng) -> DatasetSplit:
     """Test split by corpus section; remainder shuffled and cut into
     dev_fraction / rest."""
-    ranges, singles = _parse_section_spec(cfg.test_sections)
-    test = [s for s in samples if _is_test_section(s.section, ranges, singles)]
-    rest = [s for s in samples if not _is_test_section(s.section, ranges, singles)]
+    test, rest = [], []
+    for s in samples:
+        (test if cfg.is_test_section(s.section) else rest).append(s)
     rest = rng.shuffled(rest)
     n_dev = int(len(rest) * cfg.dev_fraction)
     return DatasetSplit(train=rest[n_dev:], dev=rest[:n_dev], test=test)
@@ -442,6 +409,16 @@ def write_samples(path, samples) -> None:
     atomic_write(path, write)
 
 
+def _is_str_list(value) -> bool:
+    if type(value) is not list:
+        return False
+    try:
+        "".join(value)  # one C-level pass: a non-string item raises
+    except TypeError:
+        return False
+    return True
+
+
 def read_samples(path) -> list:
     samples = []
     with open(path, "r", encoding="utf-8") as f:
@@ -453,9 +430,17 @@ def read_samples(path) -> list:
                 record = json.loads(line)
             except json.JSONDecodeError as e:
                 raise ParseError(f"invalid JSON ({e.msg})", line=lineno) from None
+            if type(record) is not dict:
+                raise ParseError("expected a JSON object", line=lineno)
             for key in ("label", "tokens", "pos", "section"):
                 if key not in record:
                     raise ParseError(f"missing field {key!r}", line=lineno)
+            for key in ("label", "section"):
+                if type(record[key]) is not str:
+                    raise ParseError(f"field {key!r} must be a string", line=lineno)
+            for key in ("tokens", "pos"):
+                if not _is_str_list(record[key]):
+                    raise ParseError(f"field {key!r} must be a list of strings", line=lineno)
             problem = _marker_problem(record["tokens"], record["pos"])
             if problem:
                 raise ParseError(problem, line=lineno)

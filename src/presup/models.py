@@ -18,9 +18,9 @@ import numpy as np
 import scipy.sparse
 
 from . import tensor as T
-from .config import ModelConfig
+from .config import ModelConfig, decode, encode
 from .errors import ShapeError, UsageError
-from .extraction import Sample
+from .extraction import Sample, sample_target
 from .optim import ParamStore
 from .rng import Rng, dropout_mask
 from .tensor import Tensor
@@ -277,17 +277,6 @@ def conv_max_pool(X: Tensor, W: Tensor, b: Tensor, width: int, steps: int,
     return T._record(Tensor(out), (X, W, b), lambda: fwd_full()[0], vjp)
 
 
-def _masked_softmax(scores: np.ndarray, axis: int) -> np.ndarray:
-    """Softmax along `axis` of scores whose masked entries are -inf; a slice
-    with no real entry comes out all zero."""
-    top = scores.max(axis=axis, keepdims=True)
-    top[np.isneginf(top)] = 0.0
-    e = np.exp(scores - top)
-    total = e.sum(axis=axis, keepdims=True)
-    total[total == 0.0] = 1.0
-    return e / total
-
-
 def attention_weights(H: Tensor, lengths=None):
     """Attention-over-attention on the Gram matrix of each sample's hidden
     states, as one fused tape node over the (B, T, T) stack.
@@ -315,8 +304,8 @@ def attention_weights(H: Tensor, lengths=None):
     def fwd_full():
         M = states @ states.transpose(0, 2, 1)
         scores = np.where(pair, M, -np.inf)
-        M_row = _masked_softmax(scores, 2)
-        M_col = _masked_softmax(scores, 1)
+        M_row = T._softmax(scores, 2)
+        M_col = T._softmax(scores, 1)
         beta = M_row.sum(axis=1) / lengths[:, None]  # (B, T)
         alpha = (M_col @ beta[:, :, None])[:, :, 0]
         return M, M_row, M_col, beta, alpha
@@ -367,15 +356,11 @@ def _activation(name: str):
     return {"relu": T.relu, "tanh": T.tanh}[name]
 
 
-def _dropout(z: Tensor, mode: str, rng: Rng | None, p: float) -> Tensor:
-    """Inverted dropout of a (d, B) tensor in train mode. One (B, d) draw:
-    row b is the (d, 1) mask sample b would draw on its own."""
-    if mode not in ("train", "eval"):
-        raise UsageError(f"mode must be 'train' or 'eval', got {mode!r}")
-    if mode == "eval" or p == 0.0:
+def _dropout(z: Tensor, rng: Rng | None, p: float) -> Tensor:
+    """Inverted dropout of a (d, B) tensor if an Rng is given (training). One
+    (B, d) draw: row b is the (d, 1) mask sample b would draw on its own."""
+    if rng is None or p == 0.0:
         return z
-    if rng is None:
-        raise UsageError("train mode with dropout needs an Rng")
     return T.mul(z, Tensor(dropout_mask(z.shape[::-1], p, rng).data.T))
 
 
@@ -439,17 +424,10 @@ def _field(doc, name: str):
     return node
 
 
-def _cfg_dict(cfg: ModelConfig) -> dict:
-    d = dict(vars(cfg))
-    d["cnn_widths"] = list(d["cnn_widths"])
-    return d
-
-
 def _config_from(doc) -> ModelConfig:
-    fields = _field(doc, "config")
     try:
-        return ModelConfig(**fields)
-    except (TypeError, UsageError) as e:
+        return decode(ModelConfig, _field(doc, "config"))
+    except UsageError as e:
         raise UsageError(f"field 'config': {e}") from None
 
 
@@ -505,7 +483,7 @@ class NeuralModel:
         labels = [0] * len(samples)
         for start in range(0, len(order), EVAL_CHUNK):
             chunk = order[start:start + EVAL_CHUNK]
-            y_hat, _ = self.forward([samples[k] for k in chunk], mode="eval")
+            y_hat, _ = self.forward([samples[k] for k in chunk])
             for k, label in zip(chunk, np.argmax(y_hat.data, axis=0)):
                 labels[k] = int(label)
         return labels
@@ -515,7 +493,7 @@ class NeuralModel:
         Each parameter still carries the format's "trainable": true, which
         loading ignores."""
         return {
-            "config": _cfg_dict(self.cfg),
+            "config": encode(self.cfg),
             "vocab": {"tokens": self.vocab.tokens, "pos_tags": self.vocab.pos_tags},
             "embeddings": _array_payload(self.embeddings),
             "params": {name: dict(_array_payload(t.data), trainable=True)
@@ -578,11 +556,12 @@ class RecurrentClassifier(NeuralModel):
         for direction in ("fwd", "bwd"):
             self.params[f"lstm_{direction}_b"].data[s:2 * s] = 1.0  # forget gates
 
-    def forward(self, samples, mode: str = "eval", rng: Rng | None = None,
-                dropout_p: float = 0.5, alpha_override: np.ndarray | None = None,
-                return_trace: bool = False):
+    def forward(self, samples, rng: Rng | None = None, dropout_p: float = 0.5,
+                alpha_override: np.ndarray | None = None, return_trace: bool = False):
         """Class probabilities of a batch as a (2, B) tensor, one column per
-        sample; a single Sample is a batch of one. alpha_override holds
+        sample; a single Sample is a batch of one. Given an Rng this is a
+        training pass, whose dropout of rate dropout_p draws its masks from
+        it; without one it scores, with no dropout. alpha_override holds
         (T, B) pooling weights; return_trace needs a batch of one."""
         batch = _as_batch(samples)
         if return_trace and len(batch) != 1:
@@ -604,7 +583,7 @@ class RecurrentClassifier(NeuralModel):
             alpha = Tensor((np.arange(steps)[:, None] < lengths) / lengths)
         c = pool_states(H, alpha)
         z = _activation(cfg.activation)(T.add(T.matmul(p["dense_W"], c), p["dense_b"]))
-        z = _dropout(z, mode, rng, dropout_p)
+        z = _dropout(z, rng, dropout_p)
         logits = T.add(T.matmul(p["out_W"], z), p["out_b"])
         y_hat = T.softmax_axis(logits, "cols")
         if not return_trace:
@@ -651,12 +630,11 @@ class CnnModel(NeuralModel):
         shapes.update(out_W=(2, cfg.cnn_maps * len(cfg.cnn_widths)), out_b=(2, 1))
         return shapes
 
-    def forward(self, samples, mode: str = "eval", rng: Rng | None = None,
-                dropout_p: float = 0.5):
+    def forward(self, samples, rng: Rng | None = None, dropout_p: float = 0.5):
         """Class probabilities of a batch as a (2, B) tensor, one column per
-        sample; a single Sample is a batch of one. Every sample is padded to
-        max_len with zero rows, and each width is one conv_max_pool node
-        over the whole batch."""
+        sample; a single Sample is a batch of one; an Rng means training, as
+        for WP. Every sample is padded to max_len with zero rows, and each
+        width is one conv_max_pool node over the whole batch."""
         batch = _as_batch(samples)
         cfg, p = self.cfg, self.params
         lengths = self._lengths(batch)
@@ -668,7 +646,7 @@ class CnnModel(NeuralModel):
         feat = T.concat([conv_max_pool(X, p[f"conv{w}_W"], p[f"conv{w}_b"], w, cfg.max_len,
                                        first, index)
                          for w in cfg.cnn_widths], axis=0)
-        feat = _dropout(feat, mode, rng, dropout_p)
+        feat = _dropout(feat, rng, dropout_p)
         logits = T.add(T.matmul(p["out_W"], feat), p["out_b"])
         return T.softmax_axis(logits, "cols"), None
 
@@ -730,7 +708,7 @@ class LogRegModel:
             raise UsageError("LogRegModel.fit: empty training set")
         X = self._matrix(train)
         XT = X.T.tocsr()
-        y = np.array([1.0 if s.label != "none" else 0.0 for s in train])
+        y = np.array([sample_target(s) for s in train], dtype=np.float64)
         n = len(train)
         self.w = np.zeros(len(self.feature_index))
         self.b = 0.0
@@ -765,7 +743,7 @@ class LogRegModel:
         return self.predict_labels([sample])[0]
 
     def state(self) -> dict:
-        return {"config": _cfg_dict(self.cfg),
+        return {"config": encode(self.cfg),
                 "features": sorted(self.feature_index, key=self.feature_index.get),
                 "weights": _array_payload(self.w), "bias": self.b}
 
@@ -805,7 +783,7 @@ class MfcModel:
         train = list(train)
         if not train:
             raise UsageError("MfcModel.fit: empty training set")
-        pos = sum(1 for s in train if s.label != "none")
+        pos = sum(map(sample_target, train))
         neg = len(train) - pos
         self.majority = 1 if pos >= neg else 0
 

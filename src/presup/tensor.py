@@ -154,6 +154,18 @@ def _sigmoid(a):
     return np.where(a >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
+def _softmax(a: np.ndarray, axis: int) -> np.ndarray:
+    """Softmax along `axis`, shifted by each slice's maximum so that exp never
+    overflows. Entries of -inf (masked) get zero weight, and a slice with no
+    finite entry comes out all zero; on finite input both guards are no-ops."""
+    top = a.max(axis=axis, keepdims=True)
+    top[np.isneginf(top)] = 0.0
+    e = np.exp(a - top)
+    total = e.sum(axis=axis, keepdims=True)
+    total[total == 0.0] = 1.0
+    return e / total
+
+
 def relu(x: Tensor) -> Tensor:
     out = Tensor(np.maximum(x.data, 0.0))
     return _record(
@@ -213,20 +225,14 @@ def softmax_axis(x: Tensor, axis: str) -> Tensor:
     """Numerically stabilized softmax; each row (axis='rows') or each column
     (axis='cols') becomes a probability distribution."""
     ax = _axis_index(axis, "softmax_axis")
-
-    def fwd():
-        shifted = x.data - x.data.max(axis=ax, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=ax, keepdims=True)
-
-    out = Tensor(fwd())
+    out = Tensor(_softmax(x.data, ax))
 
     def vjp(g, _):
         s = out.data
         dot = (g * s).sum(axis=ax, keepdims=True)
         return (s * (g - dot),)
 
-    return _record(out, (x,), fwd, vjp)
+    return _record(out, (x,), lambda: _softmax(x.data, ax), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import numpy as np
 from . import tensor as T
 from .config import TrainConfig
 from .errors import ShapeError, TrainingError, UsageError
+from .extraction import sample_target
 from .metrics import ConfusionMatrix, confusion
 from .optim import AdamState, adam_step, clip_gradients
 from .rng import Rng
@@ -51,10 +52,6 @@ class EvalReport:
             "n_positive": self.n_positive,
             "n_negative": self.n_negative,
         }
-
-
-def sample_target(sample) -> int:
-    return 0 if sample.label == "none" else 1
 
 
 def batch_loss(probs, labels) -> Tensor:
@@ -127,7 +124,7 @@ def train(model, train_set, dev_set, cfg: TrainConfig, rng: Rng,
     """Mini-batch Adam with elementwise gradient clipping and early stopping.
 
     Per epoch: seeded shuffle, batches of cfg.batch_size (last short batch
-    included), one forward of the whole batch in train mode, mean
+    included), one forward of the whole batch with the dropout Rng, mean
     cross-entropy, backward towards the trainable parameters only, clip,
     Adam step, then dev accuracy. Stops once dev accuracy has not strictly
     improved for cfg.patience epochs; the returned model carries the
@@ -157,8 +154,7 @@ def train(model, train_set, dev_set, cfg: TrainConfig, rng: Rng,
         for start in range(0, len(order), cfg.batch_size):
             batch = [train_set[i] for i in order[start:start + cfg.batch_size]]
             with Tape() as tape:
-                y_hat, _ = model.forward(batch, mode="train", rng=dropout_rng,
-                                         dropout_p=cfg.dropout)
+                y_hat, _ = model.forward(batch, rng=dropout_rng, dropout_p=cfg.dropout)
                 loss = batch_loss(y_hat, [sample_target(s) for s in batch])
             loss_value = loss.item()
             if not math.isfinite(loss_value):

@@ -63,14 +63,17 @@ class Vocab:
 def build_vocab(samples, min_count: int = 1) -> Vocab:
     """Ids ordered by frequency (descending) then lexicographically; the
     marker, unknown and padding ids are appended after corpus tokens, so
-    the same corpus always yields the same vocabulary."""
+    the same corpus always yields the same vocabulary. A literal special
+    token in the text (a PTB-style "<unk>") is not counted: it maps to its
+    special id."""
     samples = list(samples)
     if not samples:
         raise UsageError("build_vocab: empty training set")
-    token_counts = Counter(t for s in samples for t in s.tokens if t != MARKER)
-    pos_counts = Counter(t for s in samples for t in s.pos if t != MARKER)
-    tokens = _ordered(token_counts, min_count) + [MARKER, UNK, PAD]
-    pos_tags = _ordered(pos_counts, 1) + [MARKER, UNK, PAD]
+    specials = [MARKER, UNK, PAD]
+    token_counts = Counter(t for s in samples for t in s.tokens if t not in specials)
+    pos_counts = Counter(t for s in samples for t in s.pos if t not in specials)
+    tokens = _ordered(token_counts, min_count) + specials
+    pos_tags = _ordered(pos_counts, 1) + specials
     return Vocab(tokens=tokens, pos_tags=pos_tags)
 
 

@@ -351,3 +351,71 @@ def test_eval_rejects_overlong_sample_before_attention(tmp_path, capsys, variant
     assert rc == 2
     assert f"longer than model.max_len={cfg.max_len}" in capsys.readouterr().err
     assert peak < n * n * 8 / 100  # one (T, T) float64 array is 200 MB
+
+
+def _extract_exit(tmp_path, corpus_path, capsys, override):
+    """(exit code, stderr) of an extract with one --set override."""
+    cfg = _write_config(tmp_path, corpus_path)
+    capsys.readouterr()
+    rc = main(["extract", "--config", str(cfg), "--out", str(tmp_path / "out"),
+               "--set", override])
+    return rc, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override, field", [
+    ("extraction.adverbs=again", "adverbs"),  # a bare string, not a list
+    ('extraction.adverbs=["again","again"]', "adverbs"),
+    ('extraction.adverbs=["Again"]', "adverbs"),
+    ("extraction.adverbs=[]", "adverbs"),
+    ('extraction.adverbs=["again",5]', "adverbs"),
+    ('extraction.adverbs=["none"]', "adverbs"),
+    ('extraction.adverbs=["all"]', "adverbs"),
+    ('extraction.adverbs=["../../escaped"]', "adverbs"),
+    ('extraction.test_sections="23"', "test_sections"),
+    ("seed=abc", "seed"),
+    ("seed=1.5", "seed"),
+    ("seed=true", "seed"),
+    ('paths="abc"', "paths"),
+    ("paths.corpus=5", "paths"),
+], ids=["string-adverbs", "duplicate-adverb", "uppercase-adverb", "no-adverbs",
+        "number-adverb", "adverb-none", "adverb-all", "path-adverb", "string-sections",
+        "string-seed", "float-seed", "bool-seed", "string-paths", "number-path"])
+def test_extract_rejects_badly_typed_fields_before_reading(tmp_path, corpus_path, capsys,
+                                                           override, field):
+    rc, err = _extract_exit(tmp_path, corpus_path, capsys, override)
+    assert rc == 2
+    assert f"error: {field} must be" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("override", ["train.dataset=5", 'train.dataset=""',
+                                      "train.dataset=null"], ids=["number", "empty", "null"])
+def test_train_rejects_a_dataset_that_is_not_a_name(extracted, capsys, override):
+    cfg, out = extracted
+    capsys.readouterr()
+    assert _train(cfg, out, 'model.variant="mfc"', override) == 2
+    assert "error: dataset must be a non-empty string" in capsys.readouterr().err
+    assert not (out / "checkpoints").exists()
+
+
+def test_extract_names_a_bad_section_spec_before_the_corpus(tmp_path, capsys):
+    rc, err = _extract_exit(tmp_path, tmp_path / "missing.txt", capsys,
+                            'extraction.test_sections=["1-5","4-8"]')
+    assert rc == 2
+    assert "test_sections: overlapping ranges 1-5 and 4-8" in err
+    assert "missing.txt" not in err
+
+
+def test_eval_rejects_a_non_string_token_with_line_number(extracted, capsys):
+    cfg, out = extracted
+    assert _train(cfg, out, 'model.variant="logreg"') == 0
+    good = {"label": "again", "tokens": ["a", "@@@@", "go"], "pos": ["x", "@@@@", "V"],
+            "section": "2"}
+    bad = dict(good, tokens=["a", 5, "@@@@", "go"], pos=["x", "y", "@@@@", "V"])
+    data = out / "typed.jsonl"
+    data.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    capsys.readouterr()
+    rc = main(["eval", "--checkpoint", str(out / "checkpoints" / "logreg_all.json"),
+               "--data", str(data), "--out", str(out)])
+    assert rc == 2
+    assert "line 2: field 'tokens' must be a list of strings" in capsys.readouterr().err

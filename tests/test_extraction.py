@@ -1,10 +1,12 @@
 import io
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from presup.config import ExtractionConfig
+from presup import config
+from presup.config import ExtractionConfig, encode
 from presup.errors import ParseError, UsageError
 from presup.extraction import (MARKER, Document, Sample, _marker_problem, _window,
                                extract_positive,
@@ -409,6 +411,23 @@ def test_section_spec_validation():
         split_dataset(samples, ExtractionConfig(test_sections=("9-2",)), rng)
 
 
+def test_extraction_spec_is_derived_once_when_the_config_is_built(monkeypatch, corpus_docs):
+    calls = []
+    parse = config._parse_section_spec
+    monkeypatch.setattr(config, "_parse_section_spec",
+                        lambda sections: calls.append(sections) or parse(sections))
+    cfg = ExtractionConfig(adverbs=["again", "too"], test_sections=("22", "1-3"))
+    assert calls == [("22", "1-3")]
+    assert cfg.targets == frozenset({"again", "too"})
+    run_extraction(corpus_docs, cfg, Rng(5))  # six split_dataset calls
+    assert len(calls) == 1
+    # derived attributes are neither fields nor config keys
+    assert set(encode(cfg)) == {"adverbs", "window_before", "max_len", "test_sections",
+                                "dev_fraction"}
+    with pytest.raises(UsageError, match="bad config"):
+        config.decode(ExtractionConfig, {"targets": ["again"]})
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -460,6 +479,31 @@ def test_read_samples_errors(tmp_path):
         '{"label": "again", "tokens": ["a", "b"], "pos": ["x"], "section": "2"}\n')
     with pytest.raises(ParseError, match="lengths differ"):
         read_samples(skewed)
+
+
+_GOOD = {"label": "again", "tokens": ["a", MARKER, "go"], "pos": ["x", MARKER, "V"],
+         "section": "2"}
+
+
+@pytest.mark.parametrize("record, field", [
+    (dict(_GOOD, tokens=["a", 5, MARKER, "go"], pos=["x", "y", MARKER, "V"]), "tokens"),
+    (dict(_GOOD, tokens=["a", None, MARKER, "go"], pos=["x", "y", MARKER, "V"]), "tokens"),
+    (dict(_GOOD, tokens="a@@@@go"), "tokens"),
+    (dict(_GOOD, pos=["x", MARKER, ["V"]]), "pos"),
+    (dict(_GOOD, pos={"x": 1}), "pos"),
+    (dict(_GOOD, label=1), "label"),
+    (dict(_GOOD, label=None), "label"),
+    (dict(_GOOD, section=22), "section"),
+    ([1, 2], "JSON object"),
+    ("again", "JSON object"),
+], ids=["int-token", "null-token", "string-tokens", "list-tag", "object-pos",
+        "int-label", "null-label", "int-section", "array", "string"])
+def test_read_samples_checks_field_types(tmp_path, record, field):
+    path = tmp_path / "typed.jsonl"
+    path.write_text(json.dumps(_GOOD) + "\n" + json.dumps(record) + "\n")
+    with pytest.raises(ParseError, match=field) as err:
+        read_samples(path)
+    assert err.value.line == 2
 
 
 def test_validate_sample_rejects_malformed():

@@ -364,21 +364,13 @@ def test_forward_trace_contents():
     assert y_hat.data.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_forward_mode_validation():
-    samples, _, wp = _setup("wp")
-    with pytest.raises(UsageError):
-        wp.forward(samples[0], mode="predict")
-    with pytest.raises(UsageError):
-        wp.forward(samples[0], mode="train", rng=None, dropout_p=0.5)
-
-
 def test_dropout_only_in_train_mode():
     # tanh keeps every dense unit active, so dropout visibly perturbs the output
     samples, _, wp = _setup("wp", activation="tanh")
-    a = wp.forward(samples[0], mode="eval")[0].data
-    b = wp.forward(samples[0], mode="eval")[0].data
+    a = wp.forward(samples[0])[0].data
+    b = wp.forward(samples[0])[0].data
     assert np.array_equal(a, b)
-    t1 = wp.forward(samples[0], mode="train", rng=Rng(1), dropout_p=0.5)[0].data
+    t1 = wp.forward(samples[0], rng=Rng(1), dropout_p=0.5)[0].data
     assert not np.array_equal(t1, a)
 
 
@@ -419,10 +411,10 @@ def test_batched_dropout_equals_sequential_forwards(variant):
     # tanh keeps every dense unit active, so each mask entry shows
     _, _, model = _setup(variant, activation="tanh", max_len=60, cnn_widths=(2, 3))
     batch = _mixed_batch(seed=1)
-    y_hat, _ = model.forward(batch, mode="train", rng=Rng(9), dropout_p=0.5)
+    y_hat, _ = model.forward(batch, rng=Rng(9), dropout_p=0.5)
     rng = Rng(9)
     for k, sample in enumerate(batch):
-        one, _ = model.forward(sample, mode="train", rng=rng, dropout_p=0.5)
+        one, _ = model.forward(sample, rng=rng, dropout_p=0.5)
         np.testing.assert_allclose(y_hat.data[:, k:k + 1], one.data, rtol=0, atol=1e-12)
     assert not np.allclose(y_hat.data, model.forward(batch)[0].data)
 
@@ -465,7 +457,7 @@ def test_backward_wrt_trainables_skips_frozen_inputs(variant, pos_mode):
                          cnn_widths=(2, 3))
     batch = _mixed_batch(seed=4, lengths=[5, 1, 9, 3])
     with Tape() as tape:
-        y_hat, _ = model.forward(batch, mode="train", rng=Rng(2))
+        y_hat, _ = model.forward(batch, rng=Rng(2))
         loss = batch_loss(y_hat, [sample_target(s) for s in batch])
     full = backward(tape, loss).for_store(model.params)
 
@@ -648,7 +640,7 @@ def test_training_step_tape_nodes(variant, fixed, per_sample):
     rng = Rng(4)
     for batch in (samples[:1], samples + samples[:1], samples * 3):
         with Tape() as tape:
-            y_hat, _ = model.forward(batch, mode="train", rng=rng)
+            y_hat, _ = model.forward(batch, rng=rng)
             batch_loss(y_hat, [sample_target(s) for s in batch])
         assert len(tape) == fixed + per_sample * len(batch)
 

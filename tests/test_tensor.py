@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from oracles import fd_gradient, max_rel_err, tape_sum
 from presup import tensor as T
@@ -101,6 +104,33 @@ def test_softmax_matches_scipy_and_gradients(rng):
                                scipy.special.softmax(x.data, axis=0), atol=1e-12)
     check_unary(lambda t: T.softmax_axis(t, "rows"), x)
     check_unary(lambda t: T.softmax_axis(t, "cols"), x)
+
+
+def _old_softmax_axis(x: np.ndarray, ax: int) -> np.ndarray:
+    """softmax_axis's forward before the one shared _softmax, kept as the reference."""
+    shifted = x - x.max(axis=ax, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=ax, keepdims=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=6),
+              elements=st.floats(allow_nan=False, allow_infinity=False)),
+       st.sampled_from(["rows", "cols"]))
+def test_softmax_is_bitwise_the_old_expression_on_finite_input(x, axis):
+    ax = 1 if axis == "rows" else 0
+    with np.errstate(over="ignore", invalid="ignore"):  # x - max may overflow to -inf
+        expected = _old_softmax_axis(x, ax)
+        assert T._softmax(x, ax).tobytes() == expected.tobytes()
+        assert T.softmax_axis(Tensor(x), axis).data.tobytes() == expected.tobytes()
+
+
+def test_softmax_of_masked_slices():
+    scores = np.array([[0.0, -np.inf, 1.0], [-np.inf, -np.inf, -np.inf]])
+    out = T._softmax(scores, 1)
+    np.testing.assert_array_equal(out[1], 0.0)  # no finite entry: all zero
+    assert out[0, 1] == 0.0
+    np.testing.assert_allclose(out[0, [0, 2]], scipy.special.softmax([0.0, 1.0]), atol=1e-15)
 
 
 def test_softmax_and_sigmoid_are_overflow_safe():

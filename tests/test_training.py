@@ -41,7 +41,7 @@ class _StubModel:
         self.probs = np.array(probs, dtype=float).reshape(2, 1)
         self.samples_seen = 0
 
-    def forward(self, samples, mode="eval", rng=None, dropout_p=0.5):
+    def forward(self, samples, rng=None, dropout_p=0.5):
         self.samples_seen += len(samples)
         return Tensor(np.repeat(self.probs, len(samples), axis=1)), None
 

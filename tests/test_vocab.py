@@ -31,6 +31,17 @@ def test_build_vocab_orders_by_frequency_then_name():
                                           vocab.pos_to_id[UNK]]
 
 
+def test_literal_special_tokens_map_to_their_special_ids():
+    # PTB-style text holds a literal "<unk>"; it must not be a second vocabulary entry
+    samples = [Sample("again", [UNK, "a", MARKER, "go", PAD], [UNK, "Y", MARKER, "V", PAD], "2"),
+               Sample("none", [UNK, UNK, MARKER, "go"], ["Y", "Y", MARKER, PAD], "2")]
+    vocab = build_vocab(samples)
+    assert vocab.tokens == ["go", "a", MARKER, UNK, PAD]
+    assert vocab.pos_tags == ["Y", "V", MARKER, UNK, PAD]
+    assert vocab.token_ids([UNK, PAD]) == [vocab.unk_id, vocab.pad_id]
+    assert vocab.pos_ids([UNK, PAD]) == [vocab.pos_to_id[UNK], vocab.pos_to_id[PAD]]
+
+
 def test_build_vocab_min_count_and_empty():
     vocab = build_vocab(_samples(), min_count=2)
     assert vocab.tokens == ["a", "go", MARKER, UNK, PAD]
