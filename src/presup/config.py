@@ -135,6 +135,9 @@ class TrainConfig:
         _at_least(self, 1, "batch_size", "patience", "max_epochs")
         if type(self.dataset) is not str or not self.dataset:
             raise UsageError(f"dataset must be a non-empty string, got {self.dataset!r}")
+        # it names a directory under datasets/ and is part of output file names
+        if self.dataset in (".", "..") or any(c in self.dataset for c in "/\\\0"):
+            raise UsageError(f"dataset must be one path component, got {self.dataset!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise UsageError(f"dropout must be in [0, 1), got {self.dropout}")
         if not (math.isfinite(self.lr) and self.lr > 0.0):

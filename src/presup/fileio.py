@@ -7,9 +7,10 @@ from pathlib import Path
 
 
 def atomic_write(path, write_fn) -> None:
-    """Write the text file ``path`` so that it holds either its old content or
-    all of the new, never a part: ``write_fn(f)`` fills a temporary file in the
-    same directory, which is then renamed over ``path``. If ``write_fn``
+    """Write the file ``path`` so that it holds either its old content or all
+    of the new, never a part: ``write_fn(f)`` fills a temporary file in the
+    same directory, which is then renamed over ``path``. ``f`` is a UTF-8 text
+    file; a writer of bytes writes them to ``f.buffer``. If ``write_fn``
     raises, the temporary file is removed, ``path`` is untouched and the
     exception propagates.
 

@@ -9,7 +9,6 @@ with ``state()`` and reads it back with ``from_state()``.
 
 from __future__ import annotations
 
-import base64
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -365,52 +364,9 @@ def _dropout(z: Tensor, rng: Rng | None, p: float) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# checkpoint state: each variant writes and reads its own part of a checkpoint
-
-
-ARRAY_DTYPE = "<f8"  # checkpoint arrays are little-endian float64 on every host
-
-
-def _array_payload(arr: np.ndarray) -> dict:
-    """A checkpoint array: its shape and the base64 of its float64 bytes."""
-    raw = np.ascontiguousarray(arr, dtype=ARRAY_DTYPE).tobytes()
-    return {"shape": list(arr.shape), "dtype": ARRAY_DTYPE,
-            "b64": base64.b64encode(raw).decode("ascii")}
-
-
-def _array_from(payload, name: str) -> np.ndarray:
-    """Inverse of _array_payload, for the checkpoint field ``name``. A v1
-    payload holds a "data" list of floats instead of dtype and b64, and v1
-    logreg weights are a bare list. A malformed payload is a UsageError."""
-    if isinstance(payload, list):
-        payload = {"shape": [len(payload)], "data": payload}
-
-    def get(key):
-        if not isinstance(payload, dict) or key not in payload:
-            raise UsageError(f"field {name!r}: missing key {key!r}")
-        return payload[key]
-
-    shape = get("shape")
-    if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
-        raise UsageError(f"field {name!r}: shape {shape!r} is not a list of sizes")
-    if "data" in payload:
-        try:
-            return np.array(payload["data"], dtype=np.float64).reshape(shape)
-        except (TypeError, ValueError) as e:
-            raise UsageError(f"field {name!r}: data is not {shape} floats ({e})") from None
-    if get("dtype") != ARRAY_DTYPE:
-        raise UsageError(f"field {name!r}: dtype {payload['dtype']!r}, "
-                         f"but only {ARRAY_DTYPE!r} is read")
-    try:
-        raw = base64.b64decode(get("b64"), validate=True)
-    except (TypeError, ValueError) as e:  # binascii.Error is a ValueError
-        raise UsageError(f"field {name!r}: b64 is not base64 ({e})") from None
-    size = 8 * math.prod(shape)
-    if len(raw) != size:
-        raise UsageError(f"field {name!r}: b64 holds {len(raw)} bytes, "
-                         f"but shape {shape} needs {size}")
-    # astype copies: a writable array in the host's byte order, not a view of raw
-    return np.frombuffer(raw, dtype=ARRAY_DTYPE).astype(np.float64).reshape(shape)
+# checkpoint state: each variant writes and reads its own part of a checkpoint.
+# state() holds arrays as numpy arrays; from_state(doc, array) turns each array
+# field of doc into a float64 array with ``array(doc_field, field_name)``.
 
 
 def _field(doc, name: str):
@@ -489,32 +445,29 @@ class NeuralModel:
         return labels
 
     def state(self) -> dict:
-        """Config, vocabulary, embedding matrix and every named parameter.
-        Each parameter still carries the format's "trainable": true, which
-        loading ignores."""
+        """Config, vocabulary, embedding matrix and every named parameter."""
         return {
             "config": encode(self.cfg),
             "vocab": {"tokens": self.vocab.tokens, "pos_tags": self.vocab.pos_tags},
-            "embeddings": _array_payload(self.embeddings),
-            "params": {name: dict(_array_payload(t.data), trainable=True)
-                       for name, t in self.params.items()},
+            "embeddings": self.embeddings,
+            "params": {name: t.data for name, t in self.params.items()},
         }
 
     @classmethod
-    def from_state(cls, doc) -> "NeuralModel":
+    def from_state(cls, doc, array) -> "NeuralModel":
         """Inverse of state(); parameter names and shapes must be exactly
         those the stored config and vocabulary call for."""
         cfg = _config_from(doc)
         vocab = Vocab(tokens=_field(doc, "vocab.tokens"),
                       pos_tags=_field(doc, "vocab.pos_tags"))
-        matrix = _array_from(_field(doc, "embeddings"), "embeddings")
+        matrix = array(_field(doc, "embeddings"), "embeddings")
         if matrix.shape != (len(vocab.tokens), cfg.embed_dim):
             raise UsageError(f"field 'embeddings': shape {matrix.shape} does not match "
                              f"{len(vocab.tokens)} tokens x embed_dim {cfg.embed_dim}")
         model = cls(cfg, vocab, matrix)
         for name, shape in model.param_shapes().items():
             field = f"params.{name}"
-            value = _array_from(_field(doc, field), field)
+            value = array(_field(doc, field), field)
             if value.shape != shape:
                 raise UsageError(f"field {field!r}: shape {value.shape}, but the config "
                                  f"and vocabulary call for {shape}")
@@ -745,17 +698,17 @@ class LogRegModel:
     def state(self) -> dict:
         return {"config": encode(self.cfg),
                 "features": sorted(self.feature_index, key=self.feature_index.get),
-                "weights": _array_payload(self.w), "bias": self.b}
+                "weights": self.w, "bias": self.b}
 
     @classmethod
-    def from_state(cls, doc) -> "LogRegModel":
+    def from_state(cls, doc, array) -> "LogRegModel":
         model = cls(_config_from(doc))
         features = _field(doc, "features")
         if not (isinstance(features, list) and all(type(f) is str for f in features)
                 and len(set(features)) == len(features)):
             raise UsageError("field 'features': expected a list of distinct strings")
         model.feature_index = {feat: i for i, feat in enumerate(features)}
-        model.w = _array_from(_field(doc, "weights"), "weights")
+        model.w = array(_field(doc, "weights"), "weights")
         if model.w.shape != (len(features),):
             raise UsageError(f"field 'weights': shape {model.w.shape} for "
                              f"{len(features)} features")
@@ -799,7 +752,7 @@ class MfcModel:
         return {"majority": self.majority}
 
     @classmethod
-    def from_state(cls, doc) -> "MfcModel":
+    def from_state(cls, doc, array) -> "MfcModel":
         model = cls()
         model.majority = _field(doc, "majority")
         if type(model.majority) is not int or model.majority not in (0, 1):

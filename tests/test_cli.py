@@ -1,4 +1,5 @@
 import json
+import shutil
 import tracemalloc
 from pathlib import Path
 
@@ -388,14 +389,23 @@ def test_extract_rejects_badly_typed_fields_before_reading(tmp_path, corpus_path
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("override", ["train.dataset=5", 'train.dataset=""',
-                                      "train.dataset=null"], ids=["number", "empty", "null"])
-def test_train_rejects_a_dataset_that_is_not_a_name(extracted, capsys, override):
+@pytest.mark.parametrize("dataset, message", [
+    (5, "a non-empty string"), ("", "a non-empty string"), (None, "a non-empty string"),
+    ("../../side/ds", "one path component"), ("a/b", "one path component"),
+    ("a\\b", "one path component"), (".", "one path component"),
+    ("..", "one path component"),
+], ids=["number", "empty", "null", "escape", "slash", "backslash", "dot", "dotdot"])
+def test_train_rejects_a_dataset_that_is_not_a_name(extracted, capsys, dataset, message):
     cfg, out = extracted
+    side = out.parent / "side" / "ds"  # readable splits where datasets/../../side/ds leads
+    side.mkdir(parents=True)
+    for split in ("train", "dev"):
+        shutil.copy(out / "datasets" / "all" / f"{split}.jsonl", side)
+    before = sorted(out.parent.rglob("*"))
     capsys.readouterr()
-    assert _train(cfg, out, 'model.variant="mfc"', override) == 2
-    assert "error: dataset must be a non-empty string" in capsys.readouterr().err
-    assert not (out / "checkpoints").exists()
+    assert _train(cfg, out, 'model.variant="mfc"', f"train.dataset={json.dumps(dataset)}") == 2
+    assert f"error: dataset must be {message}" in capsys.readouterr().err
+    assert sorted(out.parent.rglob("*")) == before
 
 
 def test_extract_names_a_bad_section_spec_before_the_corpus(tmp_path, capsys):

@@ -22,7 +22,7 @@ from presup.optim import ParamStore
 from presup.rng import Rng
 from presup.tensor import Tape, Tensor, backward
 from presup.training import batch_loss, sample_target
-from presup.vocab import build_vocab
+from presup.vocab import Vocab, build_vocab
 
 
 def _samples():
@@ -858,12 +858,12 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
 
 
 def _eval_malformed(tmp_path, capsys, variant, corrupt):
-    """Save a small checkpoint, corrupt its text, run ``presup eval`` on it;
+    """Save a small checkpoint, corrupt its bytes, run ``presup eval`` on it;
     returns the exit code, the error output and the checkpoint path."""
     model, samples = _fitted(variant)
     path = tmp_path / f"{variant}.json"
     save_checkpoint(path, model, dataset_id="all")
-    path.write_text(corrupt(path.read_text()))
+    path.write_bytes(corrupt(path.read_bytes()))
     data = tmp_path / "test.jsonl"
     write_samples(data, samples)
     rc = main(["eval", "--checkpoint", str(path), "--data", str(data),
@@ -872,19 +872,17 @@ def _eval_malformed(tmp_path, capsys, variant, corrupt):
 
 
 def _edit(mutate):
-    def corrupt(text):
-        doc = json.loads(text)
+    """A corruption that rewrites the header line and keeps the binary tail."""
+    def corrupt(data: bytes) -> bytes:
+        header, _, tail = data.partition(b"\n")
+        doc = json.loads(header)
         mutate(doc)
-        return json.dumps(doc)
+        return json.dumps(doc).encode("utf-8") + b"\n" + tail
     return corrupt
 
 
-def _b64(values) -> str:
-    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
-
-
-def _values(payload) -> np.ndarray:
-    return np.frombuffer(base64.b64decode(payload["b64"]), dtype="<f8")
+def _header(path) -> dict:
+    return json.loads(path.read_bytes().partition(b"\n")[0])
 
 
 def test_checkpoint_missing_parameter_is_usage_error(tmp_path, capsys):
@@ -895,48 +893,69 @@ def test_checkpoint_missing_parameter_is_usage_error(tmp_path, capsys):
 
 
 def test_checkpoint_misshaped_parameter_is_usage_error(tmp_path, capsys):
-    def shrink(doc):
-        out_W = doc["params"]["out_W"]
-        out_W.update(shape=[2, 4], b64=_b64(_values(out_W)[:8]))
-    rc, err, path = _eval_malformed(tmp_path, capsys, "wp", _edit(shrink))
+    rc, err, path = _eval_malformed(
+        tmp_path, capsys, "wp", _edit(lambda d: d["params"]["out_W"].update(shape=[2, 4])))
     assert rc == 2
     assert path in err and "params.out_W" in err
 
 
 def test_checkpoint_truncated_file_is_usage_error(tmp_path, capsys):
-    rc, err, path = _eval_malformed(tmp_path, capsys, "lstm",
-                                    lambda text: text[:len(text) // 2])
-    assert rc == 2
-    assert path in err and "not valid JSON" in err
+    for cut, message in [
+        (lambda n: n // 2, "not valid JSON"),   # inside the header line
+        (lambda n: n, "tail_bytes"),            # just before its newline
+        (lambda n: n + 1, "tail_bytes"),        # just after it: no tail at all
+        (lambda n: n + 101, "tail_bytes"),      # inside the tail
+    ]:
+        rc, err, path = _eval_malformed(tmp_path, capsys, "lstm",
+                                        lambda data: data[:cut(data.index(b"\n"))])
+        assert rc == 2
+        assert path in err and message in err
 
 
 def test_checkpoint_logreg_weight_count_is_usage_error(tmp_path, capsys):
     def drop_three(doc):
-        weights = _values(doc["weights"])[3:]
-        doc["weights"].update(shape=[len(weights)], b64=_b64(weights))
+        doc["weights"]["shape"][0] -= 3
     rc, err, path = _eval_malformed(tmp_path, capsys, "logreg", _edit(drop_three))
     assert rc == 2
     assert path in err and "weights" in err
 
 
+def _out_W(mutate):
+    return _edit(lambda d: mutate(d, d["params"]["out_W"]))
+
+
 @pytest.mark.parametrize("key,corrupt", [
-    ("b64", lambda p: p.update(b64="*" + p["b64"][1:])),    # not in the base64 alphabet
-    ("dtype", lambda p: p.update(dtype="<f4")),
-    ("b64", lambda p: p.update(b64=p["b64"][:48])),          # whole quads, too few bytes
-    ("b64", lambda p: p.pop("b64")),
-], ids=["alphabet", "dtype", "truncated", "missing"])
+    ("offset", _out_W(lambda d, p: p.update(offset=d["tail_bytes"]))),
+    ("offset", _out_W(lambda d, p: p.update(offset=d["tail_bytes"] - 8))),
+    ("offset", _out_W(lambda d, p: p.update(offset=-8))),
+    ("offset", _out_W(lambda d, p: p.update(offset=8.0))),
+    ("offset", _out_W(lambda d, p: p.update(offset="8"))),
+    ("offset", _out_W(lambda d, p: p.pop("offset"))),
+    ("dtype", _out_W(lambda d, p: p.update(dtype="<f4"))),
+], ids=["past-tail", "straddles-end", "negative", "float", "string", "missing", "dtype"])
 def test_checkpoint_malformed_array_payload_is_usage_error(key, corrupt, tmp_path, capsys):
-    rc, err, path = _eval_malformed(tmp_path, capsys, "wp",
-                                    _edit(lambda d: corrupt(d["params"]["out_W"])))
+    rc, err, path = _eval_malformed(tmp_path, capsys, "wp", corrupt)
     assert rc == 2
     assert path in err and "'params.out_W'" in err and key in err
 
 
+@pytest.mark.parametrize("corrupt", [
+    _edit(lambda d: d.update(tail_bytes=d["tail_bytes"] + 8)),   # tail shorter than declared
+    _edit(lambda d: d.update(tail_bytes=d["tail_bytes"] - 8)),   # tail longer than declared
+    lambda data: data + bytes(8),                                # bytes past the last array
+    _edit(lambda d: d.pop("tail_bytes")),
+    _edit(lambda d: d.update(tail_bytes=str(d["tail_bytes"]))),
+], ids=["short", "long", "appended", "missing", "string"])
+def test_checkpoint_tail_length_is_checked(corrupt, tmp_path, capsys):
+    rc, err, path = _eval_malformed(tmp_path, capsys, "wp", corrupt)
+    assert rc == 2
+    assert path in err and "'tail_bytes'" in err
+
+
 @pytest.mark.parametrize("variant,mutate,field", [
     ("wp", lambda d: d["params"].update(extra_W=d["params"]["out_b"]), "params.extra_W"),
-    ("lstm", lambda d: d["params"]["dense_b"].pop("b64"), "params.dense_b"),
-    ("cnn", lambda d: d["embeddings"].update(shape=[d["embeddings"]["shape"][0], 2],
-                                             b64=_b64([0.0] * 2 * d["embeddings"]["shape"][0])),
+    ("lstm", lambda d: d["params"]["dense_b"].pop("offset"), "params.dense_b"),
+    ("cnn", lambda d: d["embeddings"].update(shape=[d["embeddings"]["shape"][0], 2]),
      "embeddings"),
     ("logreg", lambda d: d["config"].update(variant="svm"), "config"),
     ("mfc", lambda d: d.update(majority=None), "majority"),
@@ -955,11 +974,37 @@ def test_checkpoint_fields_are_validated(variant, mutate, field, tmp_path):
     model, _ = _fitted(variant)
     path = tmp_path / "c.json"
     save_checkpoint(path, model)
-    doc = json.loads(path.read_text())
-    mutate(doc)
-    path.write_text(json.dumps(doc))
+    path.write_bytes(_edit(mutate)(path.read_bytes()))
     with pytest.raises(UsageError, match=f"{re.escape(str(path))}: .*'{field}'"):
         load_checkpoint(path)
+
+
+def test_checkpoint_load_parses_only_the_header(tmp_path, monkeypatch):
+    """A 1,200 x 300 embedding table is read from the binary tail: json.loads
+    sees under 5% of the file, and nothing is base64-decoded."""
+    tokens = [f"w{i}" for i in range(1197)] + [MARKER, "<unk>", "<pad>"]
+    vocab = Vocab(tokens=tokens, pos_tags=[MARKER, "<unk>", "<pad>"])
+    rng = Rng(11)
+    cfg = ModelConfig(variant="wp", hidden_size=4, embed_dim=300, pos_mode="off",
+                      dense_units=5)
+    model = VARIANTS["wp"](cfg, vocab, rng.uniform(-0.5, 0.5, (len(tokens), 300)), rng=rng)
+    path = tmp_path / "wp.json"
+    save_checkpoint(path, model)
+    parsed = []
+    loads = json.loads
+
+    def counting_loads(text, *args, **kwargs):
+        parsed.append(len(text))
+        return loads(text, *args, **kwargs)
+
+    def no_b64decode(*args, **kwargs):
+        raise AssertionError("base64.b64decode called")
+
+    monkeypatch.setattr(json, "loads", counting_loads)
+    monkeypatch.setattr(base64, "b64decode", no_b64decode)
+    loaded, _ = load_checkpoint(path)
+    assert sum(parsed) < 0.05 * path.stat().st_size
+    assert loaded.embeddings.tobytes() == model.embeddings.tobytes()
 
 
 # Written by the v1 writer (float lists); the probabilities were recorded
@@ -984,12 +1029,18 @@ V1_PROBA = {
 }
 
 
-def _v1_arrays(doc) -> dict:
+def _stored_arrays(doc) -> dict:
+    """Every array of a v1 or v2 checkpoint, decoded here from its "data" list
+    or its "b64" bytes."""
     if doc["variant"] == "logreg":
         return {"weights": np.array(doc["weights"], dtype=np.float64)}
+
+    def decode(p):
+        if "data" in p:
+            return np.array(p["data"], dtype=np.float64).reshape(p["shape"])
+        return np.frombuffer(base64.b64decode(p["b64"]), dtype="<f8").reshape(p["shape"])
     arrays = {"embeddings": doc["embeddings"], **doc["params"]}
-    return {name: np.array(p["data"], dtype=np.float64).reshape(p["shape"])
-            for name, p in arrays.items()}
+    return {name: decode(p) for name, p in arrays.items()}
 
 
 def _model_arrays(model) -> dict:
@@ -997,6 +1048,17 @@ def _model_arrays(model) -> dict:
         return {"weights": model.w}
     return {"embeddings": model.embeddings,
             **{name: t.data for name, t in model.params.items()}}
+
+
+def _assert_resaves_as_v3(model, stored, tmp_path):
+    """old format -> load -> save as v3 -> load keeps every array bit for bit"""
+    save_checkpoint(tmp_path / "v3.json", model, dataset_id="all")
+    assert _header(tmp_path / "v3.json")["format"] == "presup-checkpoint-v3"
+    reloaded, _ = load_checkpoint(tmp_path / "v3.json")
+    got = _model_arrays(reloaded)
+    assert set(got) == set(stored)
+    for name, arr in stored.items():
+        assert got[name].shape == arr.shape and got[name].tobytes() == arr.tobytes(), name
 
 
 @pytest.mark.parametrize("variant", ["wp", "logreg"])
@@ -1015,14 +1077,36 @@ def test_v1_checkpoint_still_loads(variant, data_dir, tmp_path):
     labels = [int(p[1] >= 0.5) if variant == "logreg" else int(np.argmax(p))
               for p in V1_PROBA[variant]]
     assert model.predict_labels(V1_PROBE) == labels
-    # v1 -> load -> save as v2 -> load keeps every array bit for bit
-    save_checkpoint(tmp_path / "v2.json", model, dataset_id="all")
-    assert json.loads((tmp_path / "v2.json").read_text())["format"] == "presup-checkpoint-v2"
-    reloaded, _ = load_checkpoint(tmp_path / "v2.json")
-    expected, got = _v1_arrays(v1), _model_arrays(reloaded)
-    assert set(got) == set(expected)
-    for name, arr in expected.items():
-        assert got[name].shape == arr.shape and got[name].tobytes() == arr.tobytes(), name
+    _assert_resaves_as_v3(model, _stored_arrays(v1), tmp_path)
+
+
+# Written by the v2 writer (base64 arrays) from checkpoint_v1_wp.json, so it
+# holds the same arrays as that file.
+def test_v2_checkpoint_still_loads(data_dir, tmp_path):
+    v2 = json.loads((data_dir / "checkpoint_v2_wp.json").read_text(encoding="utf-8"))
+    assert v2["format"] == "presup-checkpoint-v2"
+    stored = _stored_arrays(v2)
+    v1 = _stored_arrays(json.loads((data_dir / "checkpoint_v1_wp.json").read_text()))
+    assert {k: a.tobytes() for k, a in stored.items()} == \
+        {k: a.tobytes() for k, a in v1.items()}
+    model, dataset_id = load_checkpoint(data_dir / "checkpoint_v2_wp.json")
+    assert dataset_id == "all"
+    assert model.predict_labels(V1_PROBE) == [int(np.argmax(p)) for p in V1_PROBA["wp"]]
+    _assert_resaves_as_v3(model, stored, tmp_path)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda p: p.update(b64="*" + p["b64"][1:]),    # not in the base64 alphabet
+    lambda p: p.update(b64=p["b64"][:48]),         # whole quads, too few bytes
+    lambda p: p.pop("b64"),
+], ids=["alphabet", "truncated", "missing"])
+def test_v2_malformed_array_payload_is_usage_error(corrupt, data_dir, tmp_path):
+    doc = json.loads((data_dir / "checkpoint_v2_wp.json").read_text(encoding="utf-8"))
+    corrupt(doc["params"]["out_W"])
+    path = tmp_path / "v2.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(UsageError, match=f"{re.escape(str(path))}: .*'params.out_W'.*b64"):
+        load_checkpoint(path)
 
 
 def test_param_store_rejects_unknown_names():
