@@ -44,7 +44,7 @@ def _place(node, tail: list):
     return node
 
 
-def save_checkpoint(path, model, dataset_id: str = "", extra: dict | None = None) -> None:
+def save_checkpoint(path, model, dataset_id: str, extra: dict | None = None) -> None:
     tail = []
     header = _place({"format": FORMAT, "tail_bytes": 0, "dataset": dataset_id,
                      "variant": model.variant, **model.state()}, tail)

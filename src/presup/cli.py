@@ -21,7 +21,7 @@ from .errors import ParseError, UsageError
 from .extraction import (parse_corpus, read_samples, run_extraction, sample_target,
                          write_samples)
 from .fileio import atomic_write
-from .metrics import contingency, mcnemar
+from .metrics import ALPHA, contingency, mcnemar
 from .models import VARIANTS
 from .rng import Rng
 from .training import evaluate, train
@@ -108,7 +108,7 @@ def cmd_train(args) -> int:
     emb_rng = Rng(cfg.sub_seed("embeddings"))
     emb_path = cfg.paths.get("embeddings")
     if emb_path:
-        embeddings = load_embeddings(emb_path, vocab, emb_rng, dim=cfg.model.embed_dim)
+        embeddings = load_embeddings(emb_path, vocab, emb_rng, cfg.model.embed_dim)
     else:
         embeddings = build_embedding_table(vocab, emb_rng, cfg.model.embed_dim)
     model = model_cls(cfg.model, vocab, embeddings, rng=Rng(cfg.sub_seed("init")))
@@ -160,7 +160,7 @@ def cmd_compare(args) -> int:
         "n": table.total,
         "contingency": table.to_dict(),
         "mcnemar": result.to_dict(),
-        "verdict": "significant at 0.05" if result.significant else "not significant",
+        "verdict": f"significant at {ALPHA}" if result.significant else "not significant",
     }
     report_path = out / "reports" / (
         f"compare_{Path(args.checkpoint_a).stem}_vs_{Path(args.checkpoint_b).stem}.json")

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .config import ExtractionConfig
-from .errors import ParseError, UsageError
+from .errors import ParseError
 from .fileio import atomic_write
 from .rng import Rng
 
@@ -192,25 +192,22 @@ def _nearest_verbs(doc: Document, start: int, end: int) -> list:
     return nearest
 
 
-def resolve_governor(doc: Document, sent_index: int, adverb_index: int,
-                     nearest: list | None = None):
+def resolve_governor(doc: Document, sent_index: int, adverb_index: int, nearest: list):
     """Head annotation wins; otherwise fall back to the nearest verb
     (POS starting with VB), preferring the left. Indices are within the
-    sentence; None if unresolvable. A caller that resolves several adverbs
-    of one sentence passes the same list as `nearest`: it starts empty and
-    holds the sentence's nearest-verb table once a fallback has needed it."""
+    sentence; None if unresolvable. `nearest` is one list per sentence,
+    shared by its adverbs: it starts empty and holds the sentence's
+    nearest-verb table once a fallback has needed it."""
     start, end = doc.bounds[sent_index]
     head = doc.head[start + adverb_index]
     if head >= 0 and head != adverb_index:
         return head
-    if nearest is None:
-        nearest = []
     if not nearest:
         nearest.extend(_nearest_verbs(doc, start, end))
     return nearest[adverb_index]
 
 
-def find_occurrences(doc: Document, cfg: ExtractionConfig, stats: ExtractionStats | None = None) -> list:
+def find_occurrences(doc: Document, cfg: ExtractionConfig, stats: ExtractionStats) -> list:
     targets = cfg.targets
     tokens, pos = doc.tokens, doc.pos
     occurrences = []
@@ -222,8 +219,7 @@ def find_occurrences(doc: Document, cfg: ExtractionConfig, stats: ExtractionStat
                 continue
             gov = resolve_governor(doc, sent_index, i, nearest)
             if gov is None:
-                if stats is not None:
-                    stats.for_adverb(adverb).unresolved_governors += 1
+                stats.for_adverb(adverb).unresolved_governors += 1
                 continue
             occurrences.append(Occurrence(
                 sent_index=sent_index,
@@ -248,7 +244,7 @@ def filter_too(occ: Occurrence) -> bool:
 # sample building
 
 
-def truncate_sample(sample: Sample, max_len: int = 60) -> Sample:
+def truncate_sample(sample: Sample, max_len: int) -> Sample:
     """Drop oldest context first when over length; if that would drop the
     marker, drop from the tail instead. The marker always survives."""
     n = len(sample.tokens)
@@ -301,7 +297,7 @@ def extract_positive(doc: Document, occ: Occurrence, cfg: ExtractionConfig) -> S
 
 
 def extract_negatives(docs: list, occurrences: list, cfg: ExtractionConfig,
-                      rng: Rng, stats: ExtractionStats | None = None) -> list:
+                      rng: Rng, stats: ExtractionStats) -> list:
     """One negative per positive occurrence, pivoting on the same governor
     surface form in an adverb-free sentence. Documents are scanned in
     rng-shuffled order, each from an rng-chosen sentence offset, to keep
@@ -348,10 +344,9 @@ def extract_negatives(docs: list, occurrences: list, cfg: ExtractionConfig,
                 if remaining == 0:
                     break
 
-    if stats is not None:
-        for queue in demand.values():
-            for adverb in queue:
-                stats.for_adverb(adverb).unmatched_governors += 1
+    for queue in demand.values():
+        for adverb in queue:
+            stats.for_adverb(adverb).unmatched_governors += 1
     return results
 
 
@@ -371,17 +366,6 @@ def _marker_problem(tokens, pos) -> str | None:
     if at + 1 >= len(tokens):
         return "marker has no following governor token"
     return None
-
-
-def validate_sample(sample: Sample, cfg: ExtractionConfig) -> None:
-    """Raise UsageError unless the sample satisfies its type invariants."""
-    problem = _marker_problem(sample.tokens, sample.pos)
-    if problem:
-        raise UsageError(problem)
-    if len(sample.tokens) > cfg.max_len:
-        raise UsageError(f"sample longer than {cfg.max_len} tokens")
-    if sample_target(sample) and any(t.lower() in cfg.targets for t in sample.tokens):
-        raise UsageError("positive sample contains a target adverb")
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 from .errors import UsageError
 
+ALPHA = 0.05  # McNemar's significance level
+
 
 @dataclass
 class ConfusionMatrix:
@@ -99,16 +101,17 @@ class McNemarResult:
                 "degenerate": self.degenerate}
 
 
-def mcnemar(table: ContingencyTable, alpha: float = 0.05) -> McNemarResult:
+def mcnemar(table: ContingencyTable) -> McNemarResult:
     """Continuity-corrected McNemar chi-square on the discordant counts.
 
     chi2 = (|b - c| - 1)^2 / (b + c), p from the 1-dof chi-square survival
-    function, computed as erfc(sqrt(chi2 / 2)). When b + c == 0 the test is
-    undefined; we return (0, 1) flagged as degenerate.
+    function, computed as erfc(sqrt(chi2 / 2)); significant means p < ALPHA.
+    When b + c == 0 the test is undefined; we return (0, 1) flagged as
+    degenerate.
     """
     b, c = table.b, table.c
     if b + c == 0:
         return McNemarResult(chi2=0.0, p=1.0, significant=False, degenerate=True)
     chi2 = (abs(b - c) - 1) ** 2 / (b + c)
     p = math.erfc(math.sqrt(chi2 / 2.0))
-    return McNemarResult(chi2=chi2, p=p, significant=p < alpha)
+    return McNemarResult(chi2=chi2, p=p, significant=p < ALPHA)

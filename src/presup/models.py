@@ -55,15 +55,9 @@ class ForwardTrace:
 # holds reaches an output or a gradient.
 
 
-def _as_batch(samples) -> list:
-    """A single Sample is a batch of one."""
-    return [samples] if isinstance(samples, Sample) else list(samples)
-
-
 def _batch_lengths(lengths, cols: int) -> tuple:
-    """(lengths as an int array, padded steps T) for `cols` = B*T columns;
-    lengths=None means one sequence of `cols` steps."""
-    lengths = np.array([cols] if lengths is None else lengths, dtype=np.intp)
+    """(lengths as an int array, padded steps T) for `cols` = B*T columns."""
+    lengths = np.array(lengths, dtype=np.intp)
     steps = cols // max(len(lengths), 1)
     if lengths.ndim != 1 or not len(lengths) or steps * len(lengths) != cols \
             or lengths.min() < 1 or lengths.max() > steps:
@@ -71,11 +65,11 @@ def _batch_lengths(lengths, cols: int) -> tuple:
     return lengths, steps
 
 
-def embed_sequence(samples, vocab: Vocab, embeddings: np.ndarray,
-                   cfg: ModelConfig, params: ParamStore | None = None,
+def embed_sequence(batch: list, vocab: Vocab, embeddings: np.ndarray,
+                   cfg: ModelConfig, params: ParamStore,
                    steps: int | None = None) -> tuple:
-    """(X, first, index) for the batch padded to T = steps rows per sample
-    (default: its longest sample).
+    """(X, first, index) for the list of samples `batch`, padded to
+    T = steps rows per sample (default: its longest sample).
 
     Rows of X are word vectors (rows of the (|V|, d) embeddings), optionally
     concatenated with a POS feature (one-hot or learned 40-dim embedding):
@@ -83,7 +77,6 @@ def embed_sequence(samples, vocab: Vocab, embeddings: np.ndarray,
     Rows with the same token id (and POS id, when POS is used) are equal, and
     so are all padded rows: X.data[first] holds each distinct row once, at
     its first occurrence, and X.data[first][index] equals X.data."""
-    batch = _as_batch(samples)
     steps = steps or max(len(s.tokens) for s in batch)
     ids = np.zeros((len(batch), steps), dtype=np.intp)
     key = np.full((len(batch), steps), -1, dtype=np.intp)  # padded steps share -1
@@ -113,13 +106,10 @@ def _distinct_rows(key: np.ndarray) -> tuple:
     return first, index
 
 
-def _row_index(first, index, rows: int) -> tuple:
-    """A distinct-row index over `rows` input rows; none given is the identity."""
-    if first is None:
-        first = index = np.arange(rows)
+def _check_row_index(index, rows: int) -> None:
+    """A distinct-row index must give one entry per input row."""
     if index.shape != (rows,):
         raise ShapeError(f"distinct-row index {index.shape} does not fit {rows} rows")
-    return first, index
 
 
 def input_width(cfg: ModelConfig, vocab: Vocab) -> int:
@@ -131,13 +121,12 @@ def input_width(cfg: ModelConfig, vocab: Vocab) -> int:
 
 
 def lstm_sequence(X: Tensor, W: Tensor, b: Tensor, reverse: bool,
-                  lengths=None, first=None, index=None) -> Tensor:
+                  lengths, first, index) -> Tensor:
     """Run one LSTM direction over a padded batch as a single fused tape
     node. X is (B*T, n), row b*T + t = step t of sample b; lengths holds
-    each sample's real steps (None: one sequence of all rows). first and
-    index are embed_sequence's distinct-row index of X (None: every row is
-    distinct). Returns the hidden states as an (s, B*T) matrix whose padded
-    columns are zero.
+    each sample's real steps. first and index are embed_sequence's
+    distinct-row index of X. Returns the hidden states as an (s, B*T)
+    matrix whose padded columns are zero.
 
     W is (4s x (n+s)) with gate order i, f, g, o over [x_t ; h_prev]; initial
     h and c are zero. The input projection of the distinct rows X[first] is
@@ -153,7 +142,7 @@ def lstm_sequence(X: Tensor, W: Tensor, b: Tensor, reverse: bool,
     s = W.shape[0] // 4
     rows, n = X.shape
     lengths, steps = _batch_lengths(lengths, rows)
-    first, index = _row_index(first, index, rows)
+    _check_row_index(index, rows)
     B = len(lengths)
     real = np.arange(steps) < lengths[:, None]  # (B, T)
     order = range(steps - 1, -1, -1) if reverse else range(steps)
@@ -218,11 +207,11 @@ def lstm_sequence(X: Tensor, W: Tensor, b: Tensor, reverse: bool,
 
 
 def conv_max_pool(X: Tensor, W: Tensor, b: Tensor, width: int, steps: int,
-                  first=None, index=None) -> Tensor:
+                  first, index) -> Tensor:
     """Convolution, bias, relu and max-over-time pooling of a padded batch
     as one fused tape node. X is (B*steps, n), row b*steps + t = step t of
     sample b; W is (width*n, maps) and b is (1, maps). first and index are
-    embed_sequence's distinct-row index of X (None: every row is distinct).
+    embed_sequence's distinct-row index of X.
 
     The window at t < m = steps - width + 1 of sample b scores
     sum_j X[b*steps + t + j] @ W[j*n : (j+1)*n] + b, summed in ascending j
@@ -241,7 +230,7 @@ def conv_max_pool(X: Tensor, W: Tensor, b: Tensor, width: int, steps: int,
     if W.shape[0] != width * n or b.shape != (1, maps) or B * steps != rows or m < 1:
         raise ShapeError(f"conv_max_pool: width {width} over {X.shape} in samples of "
                          f"{steps} rows, with W {W.shape} and b {b.shape}")
-    first, index = _row_index(first, index, rows)
+    _check_row_index(index, rows)
     index = index.reshape(B, steps)
 
     def fwd_full():
@@ -276,24 +265,23 @@ def conv_max_pool(X: Tensor, W: Tensor, b: Tensor, width: int, steps: int,
     return T._record(Tensor(out), (X, W, b), lambda: fwd_full()[0], vjp)
 
 
-def attention_weights(H: Tensor, lengths=None):
+def attention_weights(H: Tensor, lengths):
     """Attention-over-attention on the Gram matrix of each sample's hidden
     states, as one fused tape node over the (B, T, T) stack.
 
-    H is (2s, B*T) with column b*T + t = step t of sample b; lengths=None
-    means one sequence. Per sample, M = H_b^T H_b; padded rows and columns
-    of M are set to -inf, rows of M_row and columns of M_col are softmax
-    distributions, beta averages the L_b real rows of M_row, and
+    H is (2s, B*T) with column b*T + t = step t of sample b, and lengths
+    holds each sample's real steps. Per sample, M = H_b^T H_b; padded rows
+    and columns of M are set to -inf, rows of M_row and columns of M_col are
+    softmax distributions, beta averages the L_b real rows of M_row, and
     alpha = M_col beta. Because M is symmetric, M_col equals M_row^T, so
     alpha also equals M_row^T beta; both forms are computed and
     cross-checked on every call.
 
     Returns (M, M_row, M_col, beta, alpha). alpha is (T, B), one column per
     sample, and is the only output recorded on the tape. beta is (T, B) too;
-    M, M_row and M_col are (B, T, T), or (T, T) when lengths is None.
+    M, M_row and M_col are (B, T, T).
     """
     width, cols = H.shape
-    single = lengths is None
     lengths, steps = _batch_lengths(lengths, cols)
     B = len(lengths)
     real = np.arange(steps) < lengths[:, None]
@@ -325,8 +313,6 @@ def attention_weights(H: Tensor, lengths=None):
         return (d_states.transpose(2, 0, 1).reshape(width, cols),)
 
     out = T._record(Tensor(alpha.T.copy()), (H,), lambda: fwd_full()[4].T.copy(), vjp)
-    if single:
-        M, M_row, M_col = M[0], M_row[0], M_col[0]
     return Tensor(M), Tensor(M_row), Tensor(M_col), Tensor(beta.T.copy()), out
 
 
@@ -360,7 +346,7 @@ def _dropout(z: Tensor, rng: Rng | None, p: float) -> Tensor:
     (B, d) draw: row b is the (d, 1) mask sample b would draw on its own."""
     if rng is None or p == 0.0:
         return z
-    return T.mul(z, Tensor(dropout_mask(z.shape[::-1], p, rng).data.T))
+    return T.mul(z, Tensor(dropout_mask(z.shape[::-1], p, rng).T))
 
 
 # ---------------------------------------------------------------------------
@@ -509,14 +495,13 @@ class RecurrentClassifier(NeuralModel):
         for direction in ("fwd", "bwd"):
             self.params[f"lstm_{direction}_b"].data[s:2 * s] = 1.0  # forget gates
 
-    def forward(self, samples, rng: Rng | None = None, dropout_p: float = 0.5,
+    def forward(self, batch: list, rng: Rng | None = None, dropout_p: float = 0.5,
                 alpha_override: np.ndarray | None = None, return_trace: bool = False):
-        """Class probabilities of a batch as a (2, B) tensor, one column per
-        sample; a single Sample is a batch of one. Given an Rng this is a
-        training pass, whose dropout of rate dropout_p draws its masks from
-        it; without one it scores, with no dropout. alpha_override holds
-        (T, B) pooling weights; return_trace needs a batch of one."""
-        batch = _as_batch(samples)
+        """Class probabilities of a list of samples as a (2, B) tensor, one
+        column per sample. Given an Rng this is a training pass, whose
+        dropout of rate dropout_p draws its masks from it; without one it
+        scores, with no dropout. alpha_override holds (T, B) pooling
+        weights; return_trace needs a batch of one."""
         if return_trace and len(batch) != 1:
             raise UsageError("return_trace needs a single sample")
         cfg, p = self.cfg, self.params
@@ -538,7 +523,7 @@ class RecurrentClassifier(NeuralModel):
         z = _activation(cfg.activation)(T.add(T.matmul(p["dense_W"], c), p["dense_b"]))
         z = _dropout(z, rng, dropout_p)
         logits = T.add(T.matmul(p["out_W"], z), p["out_b"])
-        y_hat = T.softmax_axis(logits, "cols")
+        y_hat = T.softmax_cols(logits)
         if not return_trace:
             return y_hat, None
         if trace_parts is None:
@@ -583,12 +568,11 @@ class CnnModel(NeuralModel):
         shapes.update(out_W=(2, cfg.cnn_maps * len(cfg.cnn_widths)), out_b=(2, 1))
         return shapes
 
-    def forward(self, samples, rng: Rng | None = None, dropout_p: float = 0.5):
-        """Class probabilities of a batch as a (2, B) tensor, one column per
-        sample; a single Sample is a batch of one; an Rng means training, as
-        for WP. Every sample is padded to max_len with zero rows, and each
-        width is one conv_max_pool node over the whole batch."""
-        batch = _as_batch(samples)
+    def forward(self, batch: list, rng: Rng | None = None, dropout_p: float = 0.5):
+        """Class probabilities of a list of samples as a (2, B) tensor, one
+        column per sample; an Rng means training, as for WP. Every sample is
+        padded to max_len with zero rows, and each width is one
+        conv_max_pool node over the whole batch."""
         cfg, p = self.cfg, self.params
         lengths = self._lengths(batch)
         X, first, index = embed_sequence(batch, self.vocab, self.embeddings, cfg, p,
@@ -601,7 +585,7 @@ class CnnModel(NeuralModel):
                          for w in cfg.cnn_widths], axis=0)
         feat = _dropout(feat, rng, dropout_p)
         logits = T.add(T.matmul(p["out_W"], feat), p["out_b"])
-        return T.softmax_axis(logits, "cols"), None
+        return T.softmax_cols(logits), None
 
     def predict_label(self, sample: Sample) -> int:
         return self.predict_labels([sample])[0]
@@ -613,7 +597,7 @@ class CnnModel(NeuralModel):
 BIGRAM_JOIN = "▁"
 
 
-def logreg_featurize(sample: Sample, use_pos: bool = False) -> Counter:
+def logreg_featurize(sample: Sample, use_pos: bool) -> Counter:
     """Unigram and bigram token counts (POS n-grams too when enabled), first seen first."""
     toks = sample.tokens
     feats = Counter(toks)

@@ -7,6 +7,11 @@ import numpy as np
 from .errors import UsageError
 from .tensor import Tensor
 
+# Adam's moment decay rates and denominator guard
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class ParamStore:
     """Named trainable parameter tensors. Iteration is always sorted by
@@ -55,17 +60,14 @@ class ParamStore:
 class AdamState:
     """First/second moment accumulators plus step counter for one ParamStore."""
 
-    def __init__(self, store: ParamStore, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, store: ParamStore, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {name: np.zeros_like(t.data) for name, t in store.items()}
         self.v = {name: np.zeros_like(t.data) for name, t in store.items()}
 
 
-def clip_gradients(grads: dict, lo: float = -1.0, hi: float = 1.0) -> dict:
+def clip_gradients(grads: dict, lo: float, hi: float) -> dict:
     """Clamp every gradient component into [lo, hi]."""
     if lo > hi:
         raise UsageError(f"clip bounds reversed: lo={lo} > hi={hi}")
@@ -75,18 +77,18 @@ def clip_gradients(grads: dict, lo: float = -1.0, hi: float = 1.0) -> dict:
 def adam_step(store: ParamStore, grads: dict, state: AdamState) -> None:
     """Standard Adam update with bias correction; parameters updated in place."""
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    bc1 = 1.0 - BETA1 ** state.t
+    bc2 = 1.0 - BETA2 ** state.t
     for name, tensor in store.items():
         if name not in grads:
             raise UsageError(f"missing gradient for parameter {name!r}")
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
         m_hat = m / bc1
         v_hat = v / bc2
-        tensor.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        tensor.data -= state.lr * m_hat / (np.sqrt(v_hat) + EPS)

@@ -13,7 +13,6 @@ import hashlib
 import numpy as np
 
 from .errors import UsageError
-from .tensor import Tensor
 
 
 def derive_seed(seed: int, name: str) -> int:
@@ -30,10 +29,10 @@ class Rng:
         """Independent stream derived deterministically from (seed, name)."""
         return Rng(derive_seed(self.seed, name))
 
-    def uniform(self, low: float, high: float, size=None) -> np.ndarray:
+    def uniform(self, low: float, high: float, size) -> np.ndarray:
         return self._gen.uniform(low, high, size)
 
-    def random(self, size=None):
+    def random(self, size) -> np.ndarray:
         return self._gen.random(size)
 
     def integers(self, low: int, high: int) -> int:
@@ -46,12 +45,10 @@ class Rng:
         return [seq[i] for i in self._gen.permutation(len(seq))]
 
 
-def dropout_mask(shape, p: float, rng: Rng) -> Tensor:
+def dropout_mask(shape, p: float, rng: Rng) -> np.ndarray:
     """Inverted-dropout mask: 0 with probability p, else 1/(1-p), so the
     mask has unit expectation and the eval path needs no rescaling."""
     if not 0.0 <= p < 1.0:
         raise UsageError(f"dropout probability must be in [0, 1), got {p}")
-    if p == 0.0:
-        return Tensor(np.ones(shape))
     keep = rng.random(shape) >= p
-    return Tensor(keep / (1.0 - p))
+    return keep / (1.0 - p)

@@ -175,7 +175,7 @@ def relu(x: Tensor) -> Tensor:
     )
 
 
-def concat(tensors, axis: int = 0) -> Tensor:
+def concat(tensors, axis: int) -> Tensor:
     tensors = list(tensors)
     if not tensors:
         raise UsageError("concat of zero tensors")
@@ -200,15 +200,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
                    vjp)
 
 
-def _axis_index(axis: str, name: str) -> int:
-    # convention: the named slices are operated on ("rows" -> within each row)
-    if axis == "rows":
-        return 1
-    if axis == "cols":
-        return 0
-    raise UsageError(f"{name}: axis must be 'rows' or 'cols', got {axis!r}")
-
-
 def gather_rows(table: Tensor, indices) -> Tensor:
     idx = np.asarray(indices, dtype=np.intp)
     out = Tensor(table.data[idx])
@@ -221,18 +212,17 @@ def gather_rows(table: Tensor, indices) -> Tensor:
     return _record(out, (table,), lambda: table.data[idx], vjp)
 
 
-def softmax_axis(x: Tensor, axis: str) -> Tensor:
-    """Numerically stabilized softmax; each row (axis='rows') or each column
-    (axis='cols') becomes a probability distribution."""
-    ax = _axis_index(axis, "softmax_axis")
-    out = Tensor(_softmax(x.data, ax))
+def softmax_cols(x: Tensor) -> Tensor:
+    """Numerically stabilized softmax; each column becomes a probability
+    distribution."""
+    out = Tensor(_softmax(x.data, 0))
 
     def vjp(g, _):
         s = out.data
-        dot = (g * s).sum(axis=ax, keepdims=True)
+        dot = (g * s).sum(axis=0, keepdims=True)
         return (s * (g - dot),)
 
-    return _record(out, (x,), lambda: _softmax(x.data, ax), vjp)
+    return _record(out, (x,), lambda: _softmax(x.data, 0), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -240,16 +230,16 @@ def softmax_axis(x: Tensor, axis: str) -> Tensor:
 
 
 class Gradients:
-    """Gradient lookup keyed by tensor identity; missing tensors read as
-    zero (unreached parameters). When backward() was given `wrt`, reading a
-    tensor outside it is a UsageError: its gradient was never computed."""
+    """Gradient lookup keyed by tensor identity for the tensors backward()
+    was asked for; an unreached one reads as zero. Reading a tensor outside
+    them is a UsageError: its gradient was never computed."""
 
-    def __init__(self, by_id, wanted=None):
+    def __init__(self, by_id, wanted):
         self._by_id = by_id
         self._wanted = wanted
 
     def wrt(self, t: Tensor) -> np.ndarray:
-        if self._wanted is not None and id(t) not in self._wanted:
+        if id(t) not in self._wanted:
             raise UsageError(f"gradient of {t!r} was not requested from backward()")
         g = self._by_id.get(id(t))
         return np.zeros_like(t.data) if g is None else g
@@ -259,25 +249,24 @@ class Gradients:
         return {name: self.wrt(t) for name, t in store.items()}
 
 
-def backward(tape: Tape, loss: Tensor, wrt=None) -> Gradients:
-    """Exact reverse-mode gradients of a scalar loss recorded on `tape`.
+def backward(tape: Tape, loss: Tensor, wrt) -> Gradients:
+    """Exact reverse-mode gradients of a scalar loss recorded on `tape`
+    towards `wrt`, a collection of tensors.
 
-    With wrt=None every node is walked and every input gets its gradient.
-    Given `wrt`, a collection of tensors, one forward sweep marks the tensors
-    that depend on them; the reverse walk skips unmarked nodes and calls each
-    VJP as vjp(g, needs), needs[i] telling whether input i is marked, so that
-    a VJP may return None for the others. The gradients of the tensors in
-    `wrt` are the same, bit for bit, as those of the full walk.
+    One forward sweep marks the tensors that depend on those in `wrt`; the
+    reverse walk skips unmarked nodes and calls each VJP as vjp(g, needs),
+    needs[i] telling whether input i is marked, so that a VJP may return
+    None for the others.
     """
     if loss.data.size != 1:
         raise UsageError(f"backward: loss must be scalar, got shape {loss.shape}")
     if not any(n.out is loss for n in tape.nodes):
         raise UsageError("backward: loss was not produced on this tape")
-    wanted = None if wrt is None else frozenset(id(t) for t in wrt)
-    marked = set(wanted or ())
+    wanted = frozenset(id(t) for t in wrt)
+    marked = set(wanted)
     needs_of = []
     for node in tape.nodes:
-        needs = tuple(wanted is None or id(t) in marked for t in node.inputs)
+        needs = tuple(id(t) in marked for t in node.inputs)
         if any(needs):
             marked.add(id(node.out))
         needs_of.append(needs)

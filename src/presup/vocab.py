@@ -15,9 +15,8 @@ UNK = "<unk>"
 PAD = "<pad>"
 
 
-def _ordered(counts: Counter, min_count: int) -> list:
-    kept = [t for t, c in counts.items() if c >= min_count]
-    return sorted(kept, key=lambda t: (-counts[t], t))
+def _ordered(counts: Counter) -> list:
+    return sorted(counts, key=lambda t: (-counts[t], t))
 
 
 @dataclass
@@ -26,6 +25,11 @@ class Vocab:
     pos_tags: list
 
     def __post_init__(self):
+        for name, items in (("tokens", self.tokens), ("pos_tags", self.pos_tags)):
+            if not (type(items) is list and all(type(t) is str for t in items)
+                    and UNK in items):
+                raise UsageError(f"field 'vocab.{name}': expected a list of strings "
+                                 f"that holds {UNK!r}")
         self.token_to_id = {t: i for i, t in enumerate(self.tokens)}
         self.pos_to_id = {t: i for i, t in enumerate(self.pos_tags)}
         if len(self.token_to_id) != len(self.tokens):
@@ -60,7 +64,7 @@ class Vocab:
         return [get(t, unk) for t in tags]
 
 
-def build_vocab(samples, min_count: int = 1) -> Vocab:
+def build_vocab(samples) -> Vocab:
     """Ids ordered by frequency (descending) then lexicographically; the
     marker, unknown and padding ids are appended after corpus tokens, so
     the same corpus always yields the same vocabulary. A literal special
@@ -72,15 +76,17 @@ def build_vocab(samples, min_count: int = 1) -> Vocab:
     specials = [MARKER, UNK, PAD]
     token_counts = Counter(t for s in samples for t in s.tokens if t not in specials)
     pos_counts = Counter(t for s in samples for t in s.pos if t not in specials)
-    tokens = _ordered(token_counts, min_count) + specials
-    pos_tags = _ordered(pos_counts, 1) + specials
+    tokens = _ordered(token_counts) + specials
+    pos_tags = _ordered(pos_counts) + specials
     return Vocab(tokens=tokens, pos_tags=pos_tags)
 
 
-def parse_vector_file(path, dim: int | None = None):
+def parse_vector_file(path):
     """Parse a text vector file: one "token v1 ... vd" line per token, with
-    an optional "count dim" header. Returns (dict token -> vector, dim)."""
-    vectors = {}
+    an optional "count dim" header. Returns (dict token -> vector, dim),
+    where dim is the length of the first vector; every other vector must
+    have as many values."""
+    vectors, dim = {}, None
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             parts = line.rstrip("\n").split(" ")
@@ -109,12 +115,12 @@ def parse_vector_file(path, dim: int | None = None):
     return vectors, dim
 
 
-def load_embeddings(path, vocab: Vocab, rng: Rng, dim: int = 300) -> np.ndarray:
+def load_embeddings(path, vocab: Vocab, rng: Rng, dim: int) -> np.ndarray:
     """The (|V|, dim) word-vector matrix, row i for token id i: known rows
     copied from file; missing rows drawn uniform(-0.05, 0.05) in
     vocabulary-id order (stable across reloads for a fixed rng seed);
     padding row is all zeros."""
-    vectors, file_dim = parse_vector_file(path, dim=None)
+    vectors, file_dim = parse_vector_file(path)
     if file_dim != dim:
         raise UsageError(
             f"embedding file {path} has dimension {file_dim}, configured {dim}")

@@ -75,12 +75,13 @@ def test_gradients_match_finite_differences_on_random_instances():
         target = sample_target(sample)
 
         with Tape() as tape:
-            y_hat, _ = model.forward(sample)
+            y_hat, _ = model.forward([sample])
             loss = batch_loss(y_hat, [target])
-        grads = backward(tape, loss).for_store(model.params)
+        trainable = [t for _, t in model.params.items()]
+        grads = backward(tape, loss, wrt=trainable).for_store(model.params)
 
         def loss_value():
-            y, _ = model.forward(sample)
+            y, _ = model.forward([sample])
             return batch_loss(y, [target]).item()
 
         for name, p in model.params.items():
@@ -105,15 +106,15 @@ def test_attention_invariants_hold_over_random_forwards():
         steps = int(rng.integers(1, 61))
         s = int(rng.integers(1, 9))
         H = Tensor(rng.normal(0.0, 1.0, (2 * s, steps)))
-        M, M_row, M_col, beta, alpha = attention_weights(H)
-        np.testing.assert_allclose(M_row.data.sum(axis=1), 1.0,
+        M, M_row, M_col, beta, alpha = attention_weights(H, [steps])
+        np.testing.assert_allclose(M_row.data[0].sum(axis=1), 1.0,
                                    rtol=0, atol=1e-9)
-        np.testing.assert_allclose(M_col.data.sum(axis=0), 1.0,
+        np.testing.assert_allclose(M_col.data[0].sum(axis=0), 1.0,
                                    rtol=0, atol=1e-9)
         a = alpha.data.reshape(-1)
         assert np.all(a >= 0.0)
         assert abs(a.sum() - 1.0) <= 1e-9
-        alt = M_row.data.T @ beta.data
+        alt = M_row.data[0].T @ beta.data
         assert np.max(np.abs(alpha.data - alt)) <= 1e-10
 
 
@@ -122,7 +123,7 @@ def test_identical_hidden_states_yield_uniform_attention():
     for steps in (1, 2, 7, 60):
         col = rng.normal(0.0, 1.0, (8, 1))
         H = Tensor(np.tile(col, (1, steps)))
-        *_, alpha = attention_weights(H)
+        *_, alpha = attention_weights(H, [steps])
         np.testing.assert_allclose(alpha.data, 1.0 / steps, rtol=0, atol=1e-9)
 
 
@@ -165,8 +166,8 @@ def test_uniform_attention_equals_mean_pool_baseline():
         sample = _random_sample(sample_rng, sample_rng.integers(1, 13))
         steps = len(sample.tokens)
         uniform = np.full((steps, 1), 1.0 / steps)
-        y_wp, _ = wp.forward(sample, alpha_override=uniform)
-        y_base, _ = base.forward(sample)
+        y_wp, _ = wp.forward([sample], alpha_override=uniform)
+        y_base, _ = base.forward([sample])
         assert np.array_equal(y_wp.data, y_base.data)
 
 

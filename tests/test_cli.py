@@ -338,7 +338,7 @@ def test_eval_rejects_overlong_sample_before_attention(tmp_path, capsys, variant
     model = VARIANTS[variant](cfg, vocab, rng.uniform(-0.5, 0.5, (len(vocab.tokens), 4)),
                               rng=rng)
     ckpt = tmp_path / f"{variant}.json"
-    save_checkpoint(ckpt, model)
+    save_checkpoint(ckpt, model, "all")
     data = tmp_path / "long.jsonl"
     write_samples(data, [Sample("none", ["we", MARKER] + ["go"] * (n - 2),
                                 ["PRP", MARKER] + ["VB"] * (n - 2), "0")])

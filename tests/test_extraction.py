@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 from presup import config
 from presup.config import ExtractionConfig, encode
 from presup.errors import ParseError, UsageError
-from presup.extraction import (MARKER, Document, Sample, _marker_problem, _window,
-                               extract_positive,
-                               filter_too, find_occurrences, parse_corpus, read_samples,
-                               resolve_governor, run_extraction, split_dataset,
-                               truncate_sample, validate_sample, write_samples)
+from presup.extraction import (MARKER, Document, ExtractionStats, Sample, _marker_problem,
+                               _window, extract_positive, filter_too, find_occurrences,
+                               parse_corpus, read_samples, resolve_governor, run_extraction,
+                               sample_target, split_dataset, truncate_sample, write_samples)
 from presup.rng import Rng
 
 CFG = ExtractionConfig(test_sections=("22",))
@@ -20,6 +19,10 @@ CFG = ExtractionConfig(test_sections=("22",))
 
 def _doc(docs, doc_id):
     return next(d for d in docs if d.doc_id == doc_id)
+
+
+def _occurrences(doc):
+    return find_occurrences(doc, CFG, ExtractionStats())
 
 
 # ---------------------------------------------------------------------------
@@ -117,17 +120,17 @@ def test_parse_corpus_round_trip_property(corpus):
 
 def test_resolve_governor_uses_head_annotation(corpus_docs):
     doc = _doc(corpus_docs, "d01")
-    assert resolve_governor(doc, 0, 6) == 2  # "again" -> "go"
+    assert resolve_governor(doc, 0, 6, []) == 2  # "again" -> "go"
 
 
 def test_resolve_governor_falls_back_to_nearest_verb(corpus_docs):
     doc = _doc(corpus_docs, "d08")  # "again" in sentence 0 has head -1
-    assert resolve_governor(doc, 0, 3) == 1  # "went", nearest VB* to the left
+    assert resolve_governor(doc, 0, 3, []) == 1  # "went", nearest VB* to the left
 
 
 def test_resolve_governor_unresolvable(corpus_docs):
     doc = _doc(corpus_docs, "d08")  # sentence 1, "Not yet .", has no verb
-    assert resolve_governor(doc, 1, 1) is None
+    assert resolve_governor(doc, 1, 1, []) is None
 
 
 def _walk_governor(doc, sent_index, adverb_index):
@@ -165,13 +168,13 @@ def test_governor_fallback_matches_outward_walk(doc):
         nearest = []
         for i in range(end - start):
             expected = _walk_governor(doc, sent_index, i)
-            assert resolve_governor(doc, sent_index, i) == expected
+            assert resolve_governor(doc, sent_index, i, []) == expected
             assert resolve_governor(doc, sent_index, i, nearest) == expected
     expected = [(k, i, _walk_governor(doc, k, i))
                 for k, (start, end) in enumerate(doc.bounds) for i in range(end - start)
                 if doc.tokens[start + i].lower() in CFG.adverbs]
     found = [(o.sent_index, o.adverb_index, o.governor_index)
-             for o in find_occurrences(doc, CFG)]
+             for o in _occurrences(doc)]
     assert found == [e for e in expected if e[2] is not None]
 
 
@@ -192,14 +195,14 @@ def test_governor_fallback_inspects_each_position_once():
     pos[n // 2] = Tag("VBD")
     doc = Document("d", "0", tokens=["again"] * n, pos=pos, head=[-1] * n,
                    bounds=[(0, n)])
-    occurrences = find_occurrences(doc, CFG)
+    occurrences = _occurrences(doc)
     assert inspected == n
     assert len(occurrences) == n - 1
     assert {o.governor_index for o in occurrences} == {n // 2}
 
 
 def test_find_occurrences(corpus_docs):
-    occs = find_occurrences(_doc(corpus_docs, "d01"), CFG)
+    occs = _occurrences(_doc(corpus_docs, "d01"))
     assert len(occs) == 1
     occ = occs[0]
     assert (occ.adverb, occ.governor, occ.governor_pos) == ("again", "go", "VB")
@@ -207,10 +210,10 @@ def test_find_occurrences(corpus_docs):
 
 
 def test_filter_too(corpus_docs):
-    excess = find_occurrences(_doc(corpus_docs, "d04"), CFG)[0]
+    excess = _occurrences(_doc(corpus_docs, "d04"))[0]
     assert excess.governor_pos == "JJ"
     assert not filter_too(excess)  # "too far": excess-quantity sense, dropped
-    additive = find_occurrences(_doc(corpus_docs, "d05"), CFG)[0]
+    additive = _occurrences(_doc(corpus_docs, "d05"))[0]
     assert additive.governor_pos == "VB"
     assert filter_too(additive)
 
@@ -221,7 +224,7 @@ def test_filter_too(corpus_docs):
 
 def test_positive_deletes_adverb_and_marks_governor(corpus_docs):
     doc = _doc(corpus_docs, "d01")
-    occ = find_occurrences(doc, CFG)[0]
+    occ = _occurrences(doc)[0]
     sample = extract_positive(doc, occ, CFG)
     assert sample.label == "again"
     assert sample.tokens == ["We", "will", MARKER, "go", "to", "the", "park",
@@ -234,14 +237,14 @@ def test_positive_with_residual_trigger_is_skipped(corpus_docs):
     doc = _doc(corpus_docs, "d12")
     # "He also went home again ." licenses two occurrences, each of which
     # leaves the other adverb in its window
-    for occ in find_occurrences(doc, CFG):
+    for occ in _occurrences(doc):
         if occ.sent_index == 1:
             assert extract_positive(doc, occ, CFG) is None
 
 
 def test_window_crosses_sentences_and_truncates_to_max_len(corpus_docs):
     doc = _doc(corpus_docs, "d10")
-    occ = find_occurrences(doc, CFG)[0]
+    occ = _occurrences(doc)[0]
     assert occ.adverb == "still"
     sample = extract_positive(doc, occ, CFG)
     assert len(sample.tokens) == 60
@@ -280,7 +283,7 @@ def test_capped_window_truncates_to_the_uncapped_sample():
     tokens[6], pos[6] = "again", "RB"
     tokens[150], pos[150] = "too", "RB"
     doc = Document("d", "0", tokens=tokens, pos=pos, head=[-1] * n, bounds=[(0, n)])
-    occ = find_occurrences(doc, CFG)[0]
+    occ = _occurrences(doc)[0]
     sample = extract_positive(doc, occ, CFG)
     full = [t for i, t in enumerate(tokens) if i != 6]
     assert sample.tokens == full[:5] + [MARKER] + full[5:5 + CFG.max_len - 6]
@@ -290,7 +293,7 @@ def test_capped_window_truncates_to_the_uncapped_sample():
 def test_truncate_drops_tail_when_marker_is_early():
     tokens = [MARKER, "verb"] + [f"x{i}" for i in range(70)]
     sample = Sample(label="again", tokens=tokens, pos=["T"] * len(tokens))
-    out = truncate_sample(sample, max_len=60)
+    out = truncate_sample(sample, 60)
     assert len(out.tokens) == 60
     assert out.tokens[0] == MARKER  # the marker always survives
     assert out.tokens[-1] == "x57"
@@ -298,7 +301,7 @@ def test_truncate_drops_tail_when_marker_is_early():
 
 def test_truncate_noop_when_short():
     sample = Sample(label="again", tokens=["a", MARKER, "b"], pos=["x"] * 3)
-    assert truncate_sample(sample, max_len=60) is sample
+    assert truncate_sample(sample, 60) is sample
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +360,10 @@ def test_run_extraction_sample_contents(corpus_docs):
     assert len(positives) == 8  # the seven above plus the long d10 window
     assert negatives == EXPECTED_NEGATIVES
     for s in everything:
-        validate_sample(s, CFG)
+        assert _marker_problem(s.tokens, s.pos) is None
+        assert len(s.tokens) <= CFG.max_len
+        if sample_target(s):  # a positive holds no target adverb
+            assert not any(t.lower() in CFG.targets for t in s.tokens)
 
 
 def test_run_extraction_splits_by_section(corpus_docs):
@@ -504,21 +510,6 @@ def test_read_samples_checks_field_types(tmp_path, record, field):
     with pytest.raises(ParseError, match=field) as err:
         read_samples(path)
     assert err.value.line == 2
-
-
-def test_validate_sample_rejects_malformed():
-    ok = Sample("again", ["a", MARKER, "b"], ["x", MARKER, "y"])
-    validate_sample(ok, CFG)
-    bad = [
-        Sample("again", ["a", MARKER], ["x", MARKER, "y"]),          # skewed
-        Sample("again", ["a", "b", "c"], ["x", "y", "z"]),           # no marker
-        Sample("again", ["a", MARKER, MARKER], ["x", MARKER, "y"]),  # two markers
-        Sample("again", ["a", "b", MARKER], ["x", "y", MARKER]),     # no governor
-        Sample("again", ["again", MARKER, "b"], ["RB", MARKER, "y"]),  # leak
-    ]
-    for sample in bad:
-        with pytest.raises(UsageError):
-            validate_sample(sample, CFG)
 
 
 @pytest.mark.parametrize("tokens, pos, problem", [

@@ -55,6 +55,6 @@ def test_checkpoint_is_fsynced_before_it_replaces_the_old_file(tmp_path, monkeyp
     monkeypatch.setattr(os, "fsync", spy)
     model = MfcModel()
     model.fit([SAMPLE])
-    save_checkpoint(path, model)
+    save_checkpoint(path, model, "all")
     assert seen == ["old\n"]
     assert load_checkpoint(path)[0].majority == 1

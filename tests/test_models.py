@@ -22,7 +22,7 @@ from presup.optim import ParamStore
 from presup.rng import Rng
 from presup.tensor import Tape, Tensor, backward
 from presup.training import batch_loss, sample_target
-from presup.vocab import Vocab, build_vocab
+from presup.vocab import UNK, Vocab, build_vocab
 
 
 def _samples():
@@ -45,6 +45,16 @@ def _setup(variant="wp", seed=5, **cfg_kwargs):
     emb = rng.child("emb").uniform(-0.5, 0.5, (len(vocab.tokens), cfg.embed_dim))
     model = VARIANTS[variant](cfg, vocab, emb, rng=rng.child("init"))
     return samples, vocab, model
+
+
+def _each_row(X):
+    """A distinct-row index of X that counts every row as distinct."""
+    rows = np.arange(X.shape[0])
+    return rows, rows
+
+
+def _trainables(model):
+    return [t for _, t in model.params.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +91,7 @@ def test_lstm_sequence_matches_reference():
     W = Tensor(rng.uniform(-0.5, 0.5, (4 * s, n + s)))
     b = Tensor(rng.uniform(-0.2, 0.2, (4 * s, 1)))
     for reverse in (False, True):
-        out = lstm_sequence(X, W, b, reverse=reverse)
+        out = lstm_sequence(X, W, b, reverse, [steps], *_each_row(X))
         np.testing.assert_allclose(out.data, _manual_lstm(X.data, W.data, b.data,
                                                           reverse), atol=1e-12)
 
@@ -96,12 +106,12 @@ def test_lstm_sequence_gradients():
 
     def loss():
         with Tape() as tape:
-            H = lstm_sequence(X, W, b, reverse=True)
+            H = lstm_sequence(X, W, b, True, [steps], *_each_row(X))
             out = tape_sum(T.matmul(H, proj))
         return tape, out
 
     tape, out = loss()
-    grads = backward(tape, out)
+    grads = backward(tape, out, wrt=[X, W, b])
     assert tape.replay()
     for t in (X, W, b):
         fd = fd_gradient(lambda: loss()[1].item(), t.data)
@@ -134,10 +144,10 @@ def _manual_conv_max_pool(X, W, b, width, steps, g):
 
 def _conv_max_pool_grads(X, W, b, width, steps, g):
     with Tape() as tape:
-        out = conv_max_pool(X, W, b, width, steps)
+        out = conv_max_pool(X, W, b, width, steps, *_each_row(X))
         loss = tape_sum(T.mul(out, Tensor(g)))
     assert tape.replay()
-    grads = backward(tape, loss)
+    grads = backward(tape, loss, wrt=[X, W, b])
     return out, [grads.wrt(t) for t in (X, W, b)]
 
 
@@ -181,20 +191,21 @@ def test_conv_max_pool_tie_routes_gradient_to_first_window():
 
 def test_conv_max_pool_shape_errors():
     X, b = Tensor(np.zeros((8, 3))), Tensor(np.zeros((1, 2)))
+    rows = _each_row(X)
     with pytest.raises(ShapeError):
-        conv_max_pool(X, Tensor(np.zeros((8, 2))), b, 3, 4)  # W rows != width * n
+        conv_max_pool(X, Tensor(np.zeros((8, 2))), b, 3, 4, *rows)  # W rows != width * n
     with pytest.raises(ShapeError):
-        conv_max_pool(X, Tensor(np.zeros((15, 2))), b, 5, 4)  # wider than a sample
+        conv_max_pool(X, Tensor(np.zeros((15, 2))), b, 5, 4, *rows)  # wider than a sample
     with pytest.raises(ShapeError):
-        conv_max_pool(X, Tensor(np.zeros((9, 2))), b, 3, 3)  # 8 rows are not 3-row samples
+        conv_max_pool(X, Tensor(np.zeros((9, 2))), b, 3, 3, *rows)  # 8 rows are not 3-row samples
     with pytest.raises(ShapeError):
-        conv_max_pool(X, Tensor(np.zeros((9, 2))), Tensor(np.zeros((2, 1))), 3, 4)
+        conv_max_pool(X, Tensor(np.zeros((9, 2))), Tensor(np.zeros((2, 1))), 3, 4, *rows)
 
 
 def test_bilstm_shape_and_init():
     samples, _, model = _setup()
     s = model.cfg.hidden_size
-    _, trace = model.forward(samples[0], return_trace=True)
+    _, trace = model.forward([samples[0]], return_trace=True)
     assert trace.H.shape == (2 * s, len(samples[0].tokens))
     for direction in ("fwd", "bwd"):
         b = model.params[f"lstm_{direction}_b"].data
@@ -224,7 +235,7 @@ def test_lstm_sequence_batch_matches_per_sequence_reference(data):
     X = _reference_batch(rng, lengths, n)
     W = Tensor(rng.uniform(-0.8, 0.8, (4 * s, n + s)))
     b = Tensor(rng.uniform(-0.5, 0.5, (4 * s, 1)))
-    out = lstm_sequence(X, W, b, reverse, lengths)
+    out = lstm_sequence(X, W, b, reverse, lengths, *_each_row(X))
     assert out.shape == (s, B * steps)
     for k, length in enumerate(lengths):
         cols = out.data[:, k * steps:(k + 1) * steps]
@@ -244,13 +255,13 @@ def test_lstm_sequence_batch_gradients():
 
     def loss(reverse):
         with Tape() as tape:
-            H = lstm_sequence(X, W, b, reverse, lengths)
+            H = lstm_sequence(X, W, b, reverse, lengths, *_each_row(X))
             out = tape_sum(T.matmul(H, proj))
         return tape, out
 
     for reverse in (False, True):
         tape, out = loss(reverse)
-        grads = backward(tape, out)
+        grads = backward(tape, out, wrt=[X, W, b])
         assert tape.replay()
         for t in (X, W, b):
             fd = fd_gradient(lambda: loss(reverse)[1].item(), t.data)
@@ -266,7 +277,7 @@ def test_lstm_sequence_rejects_lengths_that_do_not_fit():
     W, b = Tensor(np.zeros((4, 3))), Tensor(np.zeros((4, 1)))
     for lengths in ([4, 2], [2, 0], [1, 1, 1, 1]):
         with pytest.raises(ShapeError):
-            lstm_sequence(X, W, b, False, lengths)
+            lstm_sequence(X, W, b, False, lengths, *_each_row(X))
 
 
 # ---------------------------------------------------------------------------
@@ -276,22 +287,23 @@ def test_lstm_sequence_rejects_lengths_that_do_not_fit():
 def test_attention_invariants_small():
     rng = Rng(3)
     H = Tensor(rng.uniform(-2, 2, (8, 7)))
-    M, M_row, M_col, beta, alpha = attention_weights(H)
-    np.testing.assert_allclose(M.data, H.data.T @ H.data, atol=1e-12)
-    np.testing.assert_allclose(M_row.data.sum(axis=1), 1.0, atol=1e-12)
-    np.testing.assert_allclose(M_col.data.sum(axis=0), 1.0, atol=1e-12)
-    np.testing.assert_allclose(beta.data, M_row.data.mean(axis=0)[:, None],
+    M, M_row, M_col, beta, alpha = attention_weights(H, [7])
+    M, M_row, M_col = M.data[0], M_row.data[0], M_col.data[0]
+    np.testing.assert_allclose(M, H.data.T @ H.data, atol=1e-12)
+    np.testing.assert_allclose(M_row.sum(axis=1), 1.0, atol=1e-12)
+    np.testing.assert_allclose(M_col.sum(axis=0), 1.0, atol=1e-12)
+    np.testing.assert_allclose(beta.data, M_row.mean(axis=0)[:, None],
                                atol=1e-12)
     assert np.all(alpha.data >= 0)
     assert alpha.data.sum() == pytest.approx(1.0, abs=1e-12)
     # symmetry of the Gram matrix makes the two attention forms coincide
-    np.testing.assert_allclose(alpha.data, M_row.data.T @ beta.data, atol=1e-12)
+    np.testing.assert_allclose(alpha.data, M_row.T @ beta.data, atol=1e-12)
 
 
 def test_attention_uniform_on_identical_states():
     h = Rng(4).uniform(-1, 1, (6, 1))
     H = Tensor(np.repeat(h, 5, axis=1))
-    *_, alpha = attention_weights(H)
+    *_, alpha = attention_weights(H, [5])
     np.testing.assert_allclose(alpha.data, np.full((5, 1), 0.2), atol=1e-12)
 
 
@@ -302,9 +314,9 @@ def test_attention_batch_matches_per_sequence():
     M, M_row, M_col, beta, alpha = attention_weights(H, lengths)
     assert M.shape == (3, steps, steps) and alpha.shape == beta.shape == (steps, 3)
     for k, length in enumerate(lengths):
-        single = attention_weights(Tensor(H.data[:, k * steps:k * steps + length]))
+        single = attention_weights(Tensor(H.data[:, k * steps:k * steps + length]), [length])
         for batched, one in zip((M_row.data[k], M_col.data[k]), single[1:3]):
-            np.testing.assert_allclose(batched[:length, :length], one.data, atol=1e-12)
+            np.testing.assert_allclose(batched[:length, :length], one.data[0], atol=1e-12)
             np.testing.assert_array_equal(batched[length:], 0.0)
             np.testing.assert_array_equal(batched[:, length:], 0.0)
         for batched, one in ((beta, single[3]), (alpha, single[4])):
@@ -329,7 +341,7 @@ def test_attention_and_pool_gradients_over_a_padded_batch():
     tape, out = loss()
     assert len(tape) == 6  # attention and pooling are one node each
     assert tape.replay()
-    grads = backward(tape, out)
+    grads = backward(tape, out, wrt=[H])
     fd = fd_gradient(lambda: loss()[1].item(), H.data)
     assert max_rel_err(fd, grads.wrt(H)) < 1e-6  # padded columns: both zero
 
@@ -346,14 +358,14 @@ def test_uniform_alpha_reproduces_mean_pooling():
     baseline.params.load_values(wp.params.copy_values())
     for sample in samples:
         steps = len(sample.tokens)
-        forced, _ = wp.forward(sample, alpha_override=np.full((steps, 1), 1 / steps))
-        mean_pooled, _ = baseline.forward(sample)
+        forced, _ = wp.forward([sample], alpha_override=np.full((steps, 1), 1 / steps))
+        mean_pooled, _ = baseline.forward([sample])
         assert np.array_equal(forced.data, mean_pooled.data)
 
 
 def test_forward_trace_contents():
     samples, _, wp = _setup("wp")
-    y_hat, trace = wp.forward(samples[0], return_trace=True)
+    y_hat, trace = wp.forward([samples[0]], return_trace=True)
     steps = len(samples[0].tokens)
     assert trace.H.shape == (8, steps)
     assert trace.M.shape == (steps, steps)
@@ -367,10 +379,10 @@ def test_forward_trace_contents():
 def test_dropout_only_in_train_mode():
     # tanh keeps every dense unit active, so dropout visibly perturbs the output
     samples, _, wp = _setup("wp", activation="tanh")
-    a = wp.forward(samples[0])[0].data
-    b = wp.forward(samples[0])[0].data
+    a = wp.forward([samples[0]])[0].data
+    b = wp.forward([samples[0]])[0].data
     assert np.array_equal(a, b)
-    t1 = wp.forward(samples[0], rng=Rng(1), dropout_p=0.5)[0].data
+    t1 = wp.forward([samples[0]], rng=Rng(1), dropout_p=0.5)[0].data
     assert not np.array_equal(t1, a)
 
 
@@ -402,7 +414,7 @@ def test_mixed_length_batch_equals_batches_of_one(variant, pos_mode):
     y_hat, _ = model.forward(batch)
     assert y_hat.shape == (2, len(batch))
     for k, sample in enumerate(batch):
-        one, _ = model.forward(sample)
+        one, _ = model.forward([sample])
         np.testing.assert_allclose(y_hat.data[:, k:k + 1], one.data, rtol=0, atol=1e-12)
 
 
@@ -414,7 +426,7 @@ def test_batched_dropout_equals_sequential_forwards(variant):
     y_hat, _ = model.forward(batch, rng=Rng(9), dropout_p=0.5)
     rng = Rng(9)
     for k, sample in enumerate(batch):
-        one, _ = model.forward(sample, rng=rng, dropout_p=0.5)
+        one, _ = model.forward([sample], rng=rng, dropout_p=0.5)
         np.testing.assert_allclose(y_hat.data[:, k:k + 1], one.data, rtol=0, atol=1e-12)
     assert not np.allclose(y_hat.data, model.forward(batch)[0].data)
 
@@ -443,7 +455,7 @@ def test_gradients_through_a_mixed_length_batch(variant):
 
     tape, out = loss()
     assert tape.replay()
-    grads = backward(tape, out).for_store(model.params)
+    grads = backward(tape, out, wrt=_trainables(model)).for_store(model.params)
     for name, p in model.params.items():
         probe = coords.choice(p.data.size, size=min(p.data.size, 8), replace=False)
         fd = fd_gradient(lambda: loss()[1].item(), p.data, coords=probe)
@@ -459,7 +471,9 @@ def test_backward_wrt_trainables_skips_frozen_inputs(variant, pos_mode):
     with Tape() as tape:
         y_hat, _ = model.forward(batch, rng=Rng(2))
         loss = batch_loss(y_hat, [sample_target(s) for s in batch])
-    full = backward(tape, loss).for_store(model.params)
+    # every tensor on the tape: each node's VJP is asked for every input
+    everything = [t for node in tape.nodes for t in node.inputs]
+    full = backward(tape, loss, wrt=everything).for_store(model.params)
 
     # the LSTM and conv nodes take the embedded rows X first, a weight second
     weights = [t for name, t in model.params.items()
@@ -472,7 +486,7 @@ def test_backward_wrt_trainables_skips_frozen_inputs(variant, pos_mode):
                 seen.append((needs[0], grads[0]))
                 return grads
             node.vjp = spy
-    pruned = backward(tape, loss, wrt=[t for _, t in model.params.items()])
+    pruned = backward(tape, loss, wrt=_trainables(model))
     for name, g in pruned.for_store(model.params).items():
         assert g.tobytes() == full[name].tobytes(), name
     # X holds only frozen word vectors unless a learned POS embedding is in it
@@ -490,7 +504,7 @@ def test_predict_labels_in_sorted_chunks_keep_input_order(variant):
     model.params["out_W"].data *= 100.0  # so that both labels occur
     lengths = [(k * 37) % 23 + 1 for k in range(EVAL_CHUNK + 9)]
     batch = _mixed_batch(seed=3, lengths=lengths)
-    one_by_one = [int(np.argmax(model.forward(s)[0].data)) for s in batch]
+    one_by_one = [int(np.argmax(model.forward([s])[0].data)) for s in batch]
     assert 0 < sum(one_by_one) < len(batch)
     assert model.predict_labels(batch) == one_by_one
     assert [model.predict_label(s) for s in batch] == one_by_one
@@ -504,18 +518,18 @@ def test_embed_sequence_widths_and_unknowns():
     samples, vocab, model = _setup("wp")
     emb = model.embeddings
     cfg_off = model.cfg
-    X, _, _ = embed_sequence(samples[0], vocab, emb, cfg_off, model.params)
+    X, _, _ = embed_sequence([samples[0]], vocab, emb, cfg_off, model.params)
     assert X.shape == (6, input_width(cfg_off, vocab)) == (6, 6)
 
     cfg_hot = ModelConfig(variant="wp", hidden_size=4, embed_dim=6,
                           pos_mode="one_hot")
-    X_hot, _, _ = embed_sequence(samples[0], vocab, emb, cfg_hot, None)
+    X_hot, _, _ = embed_sequence([samples[0]], vocab, emb, cfg_hot, model.params)
     assert X_hot.shape == (6, 6 + len(vocab.pos_tags))
     row = X_hot.data[0]
     assert row[6:].sum() == 1.0  # exactly one active POS bit
 
     unknown = Sample("none", ["zzz", MARKER, "run"], ["XX", MARKER, "VB"], "0")
-    X_unk, _, _ = embed_sequence(unknown, vocab, emb, cfg_off, None)
+    X_unk, _, _ = embed_sequence([unknown], vocab, emb, cfg_off, model.params)
     np.testing.assert_array_equal(X_unk.data[0], emb[vocab.unk_id])
 
 
@@ -599,13 +613,13 @@ def test_cnn_padded_steps_share_an_all_zero_row(monkeypatch):
 def test_pos_embedding_is_learned():
     samples, _, model = _setup("wp", pos_mode="embed", pos_dim=3)
     assert "pos_embedding" in model.params
-    X, _, _ = embed_sequence(samples[0], model.vocab, model.embeddings, model.cfg,
+    X, _, _ = embed_sequence([samples[0]], model.vocab, model.embeddings, model.cfg,
                              model.params)
     assert X.shape == (6, 6 + 3)
     with Tape() as tape:
-        y_hat, _ = model.forward(samples[0])
+        y_hat, _ = model.forward([samples[0]])
         loss = batch_loss(y_hat, [1])
-    g = backward(tape, loss).wrt(model.params["pos_embedding"])
+    g = backward(tape, loss, wrt=_trainables(model)).wrt(model.params["pos_embedding"])
     assert np.any(g != 0.0)
 
 
@@ -615,18 +629,18 @@ def test_pos_embedding_is_learned():
 
 def test_cnn_forward_shape_and_gradients():
     samples, _, cnn = _setup("cnn", cnn_widths=(2, 3), cnn_maps=4, max_len=10)
-    y_hat, _ = cnn.forward(samples[0])
+    y_hat, _ = cnn.forward([samples[0]])
     assert y_hat.shape == (2, 1)
     assert y_hat.data.sum() == pytest.approx(1.0, abs=1e-12)
 
     def loss():
         with Tape() as tape:
-            out, _ = cnn.forward(samples[0])
+            out, _ = cnn.forward([samples[0]])
             l = batch_loss(out, [sample_target(samples[0])])
         return tape, l
 
     tape, l = loss()
-    grads = backward(tape, l)
+    grads = backward(tape, l, wrt=_trainables(cnn))
     for name, t in cnn.params.items():
         fd = fd_gradient(lambda: loss()[1].item(), t.data)
         assert max_rel_err(fd, grads.wrt(t)) < 1e-4, name
@@ -653,7 +667,7 @@ def test_cnn_widths_must_be_distinct():
 def test_cnn_rejects_overlong_input():
     samples, _, cnn = _setup("cnn", max_len=4, cnn_widths=(2, 3))
     with pytest.raises(UsageError):
-        cnn.forward(samples[0])
+        cnn.forward([samples[0]])
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +676,7 @@ def test_cnn_rejects_overlong_input():
 
 def test_logreg_featurize_counts():
     sample = Sample("again", ["a", "b", "a"], ["X", "Y", "X"], "0")
-    feats = logreg_featurize(sample)
+    feats = logreg_featurize(sample, False)
     assert feats["a"] == 2 and feats["b"] == 1
     assert feats["a▁b"] == 1 and feats["b▁a"] == 1
     with_pos = logreg_featurize(sample, use_pos=True)
@@ -742,7 +756,7 @@ def test_logreg_featurizes_each_sample_once(pos_mode, corpus_path, tmp_path, mon
     seen = []
     real = models.logreg_featurize
 
-    def spy(sample, use_pos=False):
+    def spy(sample, use_pos):
         seen.append((id(sample), use_pos))
         return real(sample, use_pos)
 
@@ -799,7 +813,7 @@ def _assert_same_predictions(a, b, samples):
         if isinstance(a, LogRegModel):
             assert logreg_proba(a, s).tobytes() == logreg_proba(b, s).tobytes()
         elif hasattr(a, "forward"):
-            assert a.forward(s)[0].data.tobytes() == b.forward(s)[0].data.tobytes()
+            assert a.forward([s])[0].data.tobytes() == b.forward([s])[0].data.tobytes()
 
 
 def _fitted(variant):
@@ -920,6 +934,25 @@ def test_checkpoint_logreg_weight_count_is_usage_error(tmp_path, capsys):
     assert path in err and "weights" in err
 
 
+@pytest.mark.parametrize("pos_mode, field", [("off", "tokens"), ("one_hot", "pos_tags")])
+def test_checkpoint_vocabulary_without_unk_is_usage_error(pos_mode, field, tmp_path, capsys):
+    samples, _, model = _setup("wp", pos_mode=pos_mode)
+    path = tmp_path / "wp.json"
+    save_checkpoint(path, model, "all")
+
+    def rename_unk(doc):
+        items = doc["vocab"][field]
+        items[items.index(UNK)] = "<unknown>"
+    path.write_bytes(_edit(rename_unk)(path.read_bytes()))
+    data = tmp_path / "test.jsonl"
+    write_samples(data, samples)
+    rc = main(["eval", "--checkpoint", str(path), "--data", str(data),
+               "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert str(path) in err and f"'vocab.{field}'" in err
+
+
 def _out_W(mutate):
     return _edit(lambda d: mutate(d, d["params"]["out_W"]))
 
@@ -973,7 +1006,7 @@ def test_checkpoint_tail_length_is_checked(corrupt, tmp_path, capsys):
 def test_checkpoint_fields_are_validated(variant, mutate, field, tmp_path):
     model, _ = _fitted(variant)
     path = tmp_path / "c.json"
-    save_checkpoint(path, model)
+    save_checkpoint(path, model, "all")
     path.write_bytes(_edit(mutate)(path.read_bytes()))
     with pytest.raises(UsageError, match=f"{re.escape(str(path))}: .*'{field}'"):
         load_checkpoint(path)
@@ -989,7 +1022,7 @@ def test_checkpoint_load_parses_only_the_header(tmp_path, monkeypatch):
                       dense_units=5)
     model = VARIANTS["wp"](cfg, vocab, rng.uniform(-0.5, 0.5, (len(tokens), 300)), rng=rng)
     path = tmp_path / "wp.json"
-    save_checkpoint(path, model)
+    save_checkpoint(path, model, "all")
     parsed = []
     loads = json.loads
 
@@ -1072,7 +1105,7 @@ def test_v1_checkpoint_still_loads(variant, data_dir, tmp_path):
     # allows for another BLAS kernel's summation order
     for sample, expected in zip(V1_PROBE, V1_PROBA[variant]):
         proba = logreg_proba(model, sample) if variant == "logreg" \
-            else model.forward(sample)[0].data.reshape(-1)
+            else model.forward([sample])[0].data.reshape(-1)
         np.testing.assert_allclose(proba, expected, rtol=1e-12, atol=0)
     labels = [int(p[1] >= 0.5) if variant == "logreg" else int(np.argmax(p))
               for p in V1_PROBA[variant]]

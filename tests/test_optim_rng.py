@@ -61,7 +61,7 @@ def test_uniform_bounds():
 def test_dropout_mask_values_and_expectation():
     rng = Rng(7)
     p = 0.5
-    mask = dropout_mask((200, 200), p, rng).data
+    mask = dropout_mask((200, 200), p, rng)
     assert set(np.unique(mask)) <= {0.0, 1.0 / (1.0 - p)}
     # inverted scaling keeps the mask mean near 1, so eval needs no rescale
     assert abs(mask.mean() - 1.0) < 0.02
@@ -70,7 +70,7 @@ def test_dropout_mask_values_and_expectation():
 
 
 def test_dropout_mask_p_zero_is_identity():
-    mask = dropout_mask((3, 4), 0.0, Rng(0)).data
+    mask = dropout_mask((3, 4), 0.0, Rng(0))
     np.testing.assert_array_equal(mask, np.ones((3, 4)))
 
 

@@ -32,7 +32,7 @@ def check_unary(op, x: Tensor, tol=TOL, **kwargs):
         return tape, out
 
     tape, out = loss()
-    g = backward(tape, out).wrt(x)
+    g = backward(tape, out, wrt=[x]).wrt(x)
     fd = fd_gradient(lambda: loss()[1].item(), x.data)
     assert max_rel_err(fd, g) < tol
     assert tape.replay()
@@ -45,7 +45,7 @@ def check_binary(op, a: Tensor, b: Tensor, tol=TOL):
         return tape, out
 
     tape, out = loss()
-    grads = backward(tape, out)
+    grads = backward(tape, out, wrt=[a, b])
     for t in (a, b):
         fd = fd_gradient(lambda: loss()[1].item(), t.data)
         assert max_rel_err(fd, grads.wrt(t)) < tol
@@ -98,16 +98,13 @@ def test_gather_gradients(rng):
 
 def test_softmax_matches_scipy_and_gradients(rng):
     x = _rand(rng, 4, 5)
-    np.testing.assert_allclose(T.softmax_axis(x, "rows").data,
-                               scipy.special.softmax(x.data, axis=1), atol=1e-12)
-    np.testing.assert_allclose(T.softmax_axis(x, "cols").data,
+    np.testing.assert_allclose(T.softmax_cols(x).data,
                                scipy.special.softmax(x.data, axis=0), atol=1e-12)
-    check_unary(lambda t: T.softmax_axis(t, "rows"), x)
-    check_unary(lambda t: T.softmax_axis(t, "cols"), x)
+    check_unary(T.softmax_cols, x)
 
 
 def _old_softmax_axis(x: np.ndarray, ax: int) -> np.ndarray:
-    """softmax_axis's forward before the one shared _softmax, kept as the reference."""
+    """The softmax forward before the one shared _softmax, kept as the reference."""
     shifted = x - x.max(axis=ax, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=ax, keepdims=True)
@@ -122,7 +119,8 @@ def test_softmax_is_bitwise_the_old_expression_on_finite_input(x, axis):
     with np.errstate(over="ignore", invalid="ignore"):  # x - max may overflow to -inf
         expected = _old_softmax_axis(x, ax)
         assert T._softmax(x, ax).tobytes() == expected.tobytes()
-        assert T.softmax_axis(Tensor(x), axis).data.tobytes() == expected.tobytes()
+        if axis == "cols":
+            assert T.softmax_cols(Tensor(x)).data.tobytes() == expected.tobytes()
 
 
 def test_softmax_of_masked_slices():
@@ -135,9 +133,9 @@ def test_softmax_of_masked_slices():
 
 def test_softmax_and_sigmoid_are_overflow_safe():
     big = Tensor(np.array([[1000.0, -1000.0], [0.0, 999.0]]))
-    s = T.softmax_axis(big, "rows").data
+    s = T.softmax_cols(big).data
     assert np.all(np.isfinite(s))
-    np.testing.assert_allclose(s.sum(axis=1), 1.0)
+    np.testing.assert_allclose(s.sum(axis=0), 1.0)
     sig = T._sigmoid(big.data)
     assert np.all(np.isfinite(sig))
     np.testing.assert_array_equal(sig, [[1.0, 0.0], [0.5, 1.0]])
@@ -149,7 +147,7 @@ def test_gradient_accumulates_over_reuse(rng):
     with Tape() as tape:
         out = T.add(T.mul(x, x), x)
         total = tape_sum(out)
-    g = backward(tape, total).wrt(x)
+    g = backward(tape, total, wrt=[x]).wrt(x)
     np.testing.assert_allclose(g, 2.0 * x.data + 1.0, atol=1e-12)
 
 
@@ -161,7 +159,7 @@ def test_recording_requires_active_tape(rng):
         assert len(tape) == 1
     assert np.array_equal(y.data, z.data)
     with pytest.raises(UsageError):
-        backward(Tape(), y)  # y was never recorded on this tape
+        backward(Tape(), y, wrt=[x])  # y was never recorded on this tape
 
 
 def test_nested_tapes_record_to_innermost(rng):
@@ -180,7 +178,7 @@ def test_backward_rejects_nonscalar_loss(rng):
     with Tape() as tape:
         y = T.tanh(x)
     with pytest.raises(UsageError):
-        backward(tape, y)
+        backward(tape, y, wrt=[x])
 
 
 def test_gradients_default_to_zero(rng):
@@ -188,7 +186,7 @@ def test_gradients_default_to_zero(rng):
     untouched = _rand(rng, 3, 3)
     with Tape() as tape:
         out = _scalarize(T.tanh(x))
-    grads = backward(tape, out)
+    grads = backward(tape, out, wrt=[x, untouched])
     assert np.array_equal(grads.wrt(untouched), np.zeros((3, 3)))
 
 
@@ -203,9 +201,7 @@ def test_shape_errors():
     with pytest.raises(ShapeError):
         T.mul(b, a)
     with pytest.raises(UsageError):
-        T.softmax_axis(a, "diagonal")
-    with pytest.raises(UsageError):
-        T.concat([])
+        T.concat([], axis=0)
     with pytest.raises(UsageError):
         Tensor(np.zeros((2, 2))).item()
 

@@ -82,7 +82,7 @@ def test_batch_loss_gradients_with_a_clamped_probability():
     tape, out = loss()
     assert len(tape) == 1
     assert tape.replay()
-    grad = backward(tape, out).wrt(probs)
+    grad = backward(tape, out, wrt=[probs]).wrt(probs)
     np.testing.assert_array_equal(grad[:, 2], np.zeros(2))
     for k in range(4):
         # a step small enough to stay below the floor on the clamped entry

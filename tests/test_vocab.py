@@ -4,7 +4,7 @@ import pytest
 from presup.errors import ParseError, UsageError
 from presup.extraction import MARKER, Sample
 from presup.rng import Rng
-from presup.vocab import (PAD, UNK, build_vocab,
+from presup.vocab import (PAD, UNK, Vocab, build_vocab,
                           build_embedding_table, load_embeddings,
                           parse_vector_file)
 
@@ -42,9 +42,22 @@ def test_literal_special_tokens_map_to_their_special_ids():
     assert vocab.pos_ids([UNK, PAD]) == [vocab.pos_to_id[UNK], vocab.pos_to_id[PAD]]
 
 
-def test_build_vocab_min_count_and_empty():
-    vocab = build_vocab(_samples(), min_count=2)
-    assert vocab.tokens == ["a", "go", MARKER, UNK, PAD]
+@pytest.mark.parametrize("field, value", [
+    ("tokens", ["a", MARKER, PAD]),        # no <unk>
+    ("pos_tags", ["X", MARKER, PAD]),
+    ("tokens", ["a", 7, UNK]),             # not all strings
+    ("pos_tags", [["X"], UNK]),
+    ("tokens", "a" + UNK),                 # not a list
+    ("pos_tags", None),
+])
+def test_vocab_lists_are_strings_holding_unk(field, value):
+    lists = {"tokens": ["a", MARKER, UNK, PAD], "pos_tags": ["X", MARKER, UNK, PAD]}
+    lists[field] = value
+    with pytest.raises(UsageError, match=f"'vocab.{field}'"):
+        Vocab(**lists)
+
+
+def test_build_vocab_rejects_an_empty_set():
     with pytest.raises(UsageError):
         build_vocab([])
 
