@@ -3,8 +3,9 @@
 All commands are driven by a JSON config file; any leaf key can be
 overridden on the command line with repeatable --set key.path=value flags.
 Outputs land under --out with fixed relative names (datasets/, checkpoints/,
-reports/, stats/). Exit codes: 0 success, 1 runtime failure, 2 usage error
-or malformed input (config, corpus, sample file or checkpoint).
+reports/, stats/, and cache/ for the parsed vector file). Exit codes: 0
+success, 1 runtime failure, 2 usage error or malformed input (config,
+corpus, vector file, sample file or checkpoint).
 """
 
 from __future__ import annotations
@@ -108,7 +109,8 @@ def cmd_train(args) -> int:
     emb_rng = Rng(cfg.sub_seed("embeddings"))
     emb_path = cfg.paths.get("embeddings")
     if emb_path:
-        embeddings = load_embeddings(emb_path, vocab, emb_rng, cfg.model.embed_dim)
+        embeddings = load_embeddings(emb_path, vocab, emb_rng, cfg.model.embed_dim,
+                                     out / "cache")
     else:
         embeddings = build_embedding_table(vocab, emb_rng, cfg.model.embed_dim)
     model = model_cls(cfg.model, vocab, embeddings, rng=Rng(cfg.sub_seed("init")))

@@ -10,11 +10,14 @@ class UsageError(ValueError):
 
 
 class ParseError(ValueError):
-    """Malformed input data; message carries the offending line number."""
+    """Malformed input data; message carries the offending line number and,
+    where the reader knows it, the file."""
 
-    def __init__(self, message, line=None):
+    def __init__(self, message, line=None, path=None):
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
         self.line = line
 

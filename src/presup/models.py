@@ -14,7 +14,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from . import tensor as T
 from .config import ModelConfig, decode, encode
@@ -249,6 +248,7 @@ def conv_max_pool(X: Tensor, W: Tensor, b: Tensor, width: int, steps: int,
     indptr = np.arange(0, maps * B + 1, B)
 
     def vjp(g, needs):
+        import scipy.sparse  # here, so that commands without a CNN backward never load scipy
         g = np.where(positive, g, 0.0)
         d_X = np.zeros_like(X.data) if needs[0] else None
         d_W = np.empty_like(W.data) if needs[1] else None
@@ -628,6 +628,7 @@ class LogRegModel:
 
     def _matrix(self, samples):
         """Count matrix of the samples; unseen n-grams get the next free ids."""
+        import scipy.sparse  # here, so that commands without LogReg never load scipy
         index, use_pos = self.feature_index, self.use_pos
         rows, cols, vals = [], [], []
         for r, sample in enumerate(samples):

@@ -10,7 +10,7 @@ import numpy as np
 
 from presup.extraction import MARKER, Sample
 from presup.rng import Rng
-from presup.vocab import Vocab, build_vocab
+from presup.vocab import PAD, Vocab, build_vocab
 
 N_CONTENT = 8
 PREFIX_LEN = 5
@@ -52,7 +52,7 @@ def gen_repetition_samples(rng: Rng, n: int) -> list[Sample]:
 def onehot_embeddings(vocab: Vocab) -> np.ndarray:
     """One row per vocabulary entry on the standard basis; pad row zeroed."""
     mat = np.eye(len(vocab.tokens))
-    mat[vocab.pad_id] = 0.0
+    mat[vocab.token_to_id[PAD]] = 0.0
     return mat
 
 

@@ -40,7 +40,7 @@ def _tiny_vocab() -> Vocab:
 
 def _random_embeddings(vocab: Vocab, dim: int, rng: Rng) -> np.ndarray:
     mat = rng.uniform(-0.5, 0.5, (len(vocab.tokens), dim))
-    mat[vocab.pad_id] = 0.0
+    mat[vocab.token_to_id[PAD]] = 0.0
     return mat
 
 

@@ -1,5 +1,8 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -429,3 +432,92 @@ def test_eval_rejects_a_non_string_token_with_line_number(extracted, capsys):
                "--data", str(data), "--out", str(out)])
     assert rc == 2
     assert "line 2: field 'tokens' must be a list of strings" in capsys.readouterr().err
+
+
+_TINY_WP = ('model.variant="wp"', "model.hidden_size=3", "model.embed_dim=5",
+            "model.dense_units=3", 'train.dataset="again"', "train.max_epochs=2",
+            "train.patience=1", "train.batch_size=2")
+
+
+def _train_wp(cfg, out, vectors, *overrides):
+    return _train(cfg, out, *_TINY_WP, f'paths.embeddings="{vectors}"', *overrides)
+
+
+@pytest.mark.parametrize("token, value, line", [("park", "nan", 5), ("the", "1e309", 4)])
+def test_train_rejects_a_non_finite_vector_value(extracted, data_dir, capsys,
+                                                 token, value, line):
+    cfg, out = extracted
+    vectors = out.parent / "vectors.txt"
+    rows = (data_dir / "tiny_vectors.txt").read_text().splitlines(keepends=True)
+    assert rows[line - 1].startswith(token + " ")
+    values = rows[line - 1].split()
+    rows[line - 1] = " ".join([token, value, *values[2:]]) + "\n"
+    vectors.write_text("".join(rows))
+    capsys.readouterr()
+    assert _train_wp(cfg, out, vectors) == 2
+    assert f"{vectors}: line {line}: non-finite vector value for {token!r}" \
+        in capsys.readouterr().err
+    assert not (out / "cache").exists()
+
+
+def test_train_from_the_vector_cache_matches_a_parsed_run(extracted, data_dir,
+                                                          monkeypatch):
+    cfg, out = extracted
+    vectors = out.parent / "vectors.txt"
+    shutil.copy(data_dir / "tiny_vectors.txt", vectors)
+    before = {p: p.stat().st_mtime_ns for p in out.parent.rglob("*")
+              if out not in p.parents and p != out}
+    assert _train_wp(cfg, out, vectors) == 0
+    assert (out / "cache" / "vectors.bin").exists()
+    ckpt = out / "checkpoints" / "wp_again.json"
+    history = out / "reports" / "history_wp_again.jsonl"
+    parsed = ckpt.read_bytes(), history.read_bytes()
+
+    def no_parse(path):
+        raise AssertionError("the cached vectors were not used")
+    monkeypatch.setattr("presup.vocab.parse_vector_file", no_parse)
+    ckpt.unlink()
+    history.unlink()
+    assert _train_wp(cfg, out, vectors) == 0
+    assert (ckpt.read_bytes(), history.read_bytes()) == parsed
+    # nothing outside --out was written, and no temporary file is left in it
+    after = {p: p.stat().st_mtime_ns for p in out.parent.rglob("*")
+             if out not in p.parents and p != out}
+    assert after == before
+    assert not [p for p in out.rglob("*") if p.name.endswith(".tmp")]
+
+
+def test_a_dimension_mismatch_exits_2_from_the_cache_as_from_the_file(extracted,
+                                                                      data_dir, capsys):
+    cfg, out = extracted
+    vectors = data_dir / "tiny_vectors.txt"
+    for label in ("miss", "hit"):
+        capsys.readouterr()
+        assert _train_wp(cfg, out, vectors, "model.embed_dim=4") == 2, label
+        assert "has dimension 5, configured 4" in capsys.readouterr().err, label
+        assert (out / "cache" / "vectors.bin").exists()
+
+
+def test_extract_and_wp_train_and_eval_never_load_scipy(tmp_path, corpus_path, data_dir):
+    cfg = _write_config(tmp_path, corpus_path, dev_fraction=0.3)
+    out = tmp_path / "out"
+    script = f"""
+import sys
+from presup.cli import main
+out, cfg = {str(out)!r}, {str(cfg)!r}
+assert main(["extract", "--config", cfg, "--seed", "42", "--out", out]) == 0
+assert "scipy" not in sys.modules, "extract"
+assert main(["train", "--config", cfg, "--seed", "7", "--out", out,
+             *[a for s in {list(_TINY_WP)!r} for a in ("--set", s)],
+             "--set", 'paths.embeddings="{data_dir / 'tiny_vectors.txt'}"']) == 0
+assert "scipy" not in sys.modules, "train"
+assert main(["eval", "--out", out, "--checkpoint", out + "/checkpoints/wp_again.json",
+             "--data", out + "/datasets/again/test.jsonl"]) == 0
+assert "scipy" not in sys.modules, "eval"
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
