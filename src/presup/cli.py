@@ -19,7 +19,7 @@ from pathlib import Path
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, apply_overrides, load_config_dict
 from .errors import ParseError, UsageError
-from .extraction import (parse_corpus, read_samples, run_extraction, sample_target,
+from .extraction import (read_corpus, read_samples, run_extraction, sample_target,
                          write_samples)
 from .fileio import atomic_write
 from .metrics import ALPHA, contingency, mcnemar
@@ -51,17 +51,17 @@ def cmd_extract(args) -> int:
     if not Path(corpus_path).exists():
         raise UsageError(f"corpus path does not exist: {corpus_path}")
     out = Path(args.out)
-    with open(corpus_path, "r", encoding="utf-8") as f:
-        docs = parse_corpus(f)
     rng = Rng(cfg.sub_seed("extraction"))
-    datasets, stats = run_extraction(docs, cfg.extraction, rng)
+    # no name holds the corpus, so it is freed before the encoded lines exist
+    datasets, stats = run_extraction(read_corpus(corpus_path), cfg.extraction, rng)
 
+    lines = {}  # each sample's JSON line: "all" holds the per-adverb samples again
     split_counts = {}
     for name, split in sorted(datasets.items()):
         dataset_dir = out / "datasets" / name
         dataset_dir.mkdir(parents=True, exist_ok=True)
         for part in ("train", "dev", "test"):
-            write_samples(dataset_dir / f"{part}.jsonl", getattr(split, part))
+            write_samples(dataset_dir / f"{part}.jsonl", getattr(split, part), lines)
             if not getattr(split, part):
                 logging.getLogger(__name__).warning("dataset %s: empty %s split", name, part)
         split_counts[name] = split.counts()

@@ -14,6 +14,7 @@ class ParseError(ValueError):
     where the reader knows it, the file."""
 
     def __init__(self, message, line=None, path=None):
+        self.reason = message
         if line is not None:
             message = f"line {line}: {message}"
         if path is not None:

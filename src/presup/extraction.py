@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .config import ExtractionConfig
 from .errors import ParseError
-from .fileio import atomic_write
+from .fileio import atomic_write, text_lines, undecodable
 from .rng import Rng
 
 MARKER = "@@@@"
@@ -118,8 +118,25 @@ def parse_corpus(stream) -> list:
 
     docs: list[Document] = []
     doc: Document | None = None
+    add_token = add_pos = add_head = None  # the open document's appends
     lineno = 0
     for lineno, line in enumerate(stream, start=1):
+        # a well-formed token line costs one split and one int(); int()
+        # ignores the line break that ends the head field
+        fields = line.split("\t")
+        if len(fields) == 3 and doc is not None:
+            token, pos, head = fields
+            if token and pos:
+                try:
+                    head_idx = int(head)
+                except ValueError:
+                    pass
+                else:
+                    add_token(token)
+                    add_pos(pos)
+                    add_head(head_idx)
+                    continue
+        # any other line takes every check, in this order
         line = line.rstrip("\n")
         if line.startswith("#doc") and "\t" not in line:  # "#doc<TAB>..." is a token
             _close_sentence(doc, lineno)
@@ -128,6 +145,7 @@ def parse_corpus(stream) -> list:
                 raise ParseError(f"bad document header {line!r}", line=lineno)
             doc = Document(doc_id=parts[1], section_id=parts[2])
             docs.append(doc)
+            add_token, add_pos, add_head = doc.tokens.append, doc.pos.append, doc.head.append
             continue
         if not line.strip():
             _close_sentence(doc, lineno)
@@ -141,13 +159,8 @@ def parse_corpus(stream) -> list:
         token, pos, head = fields
         if not token or not pos:
             raise ParseError("empty token or POS field", line=lineno)
-        try:
-            head_idx = int(head)
-        except ValueError:
-            raise ParseError(f"head index {head!r} is not an integer", line=lineno) from None
-        doc.tokens.append(token)
-        doc.pos.append(pos)
-        doc.head.append(head_idx)
+        # a line whose head int() reads was appended above
+        raise ParseError(f"head index {head!r} is not an integer", line=lineno)
     _close_sentence(doc, lineno)
     return docs
 
@@ -160,12 +173,24 @@ def _close_sentence(doc: Document | None, lineno: int) -> None:
     end = len(doc.tokens)
     if start == end:
         return
-    for h in doc.head[start:]:
-        if not -1 <= h < end - start:
-            raise ParseError(
-                f"head index {h} out of range for sentence of length {end - start}",
-                line=lineno)
+    heads = doc.head[start:]
+    if min(heads) < -1 or max(heads) >= end - start:
+        h = next(h for h in heads if not -1 <= h < end - start)
+        raise ParseError(
+            f"head index {h} out of range for sentence of length {end - start}",
+            line=lineno)
     doc.bounds.append((start, end))
+
+
+def read_corpus(path) -> list:
+    """parse_corpus over the UTF-8 file at `path`; a ParseError names it."""
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            return parse_corpus(f)
+        except ParseError as e:
+            raise ParseError(e.reason, line=e.line, path=path) from None
+        except UnicodeDecodeError:
+            raise undecodable(path) from None
 
 
 # ---------------------------------------------------------------------------
@@ -207,16 +232,32 @@ def resolve_governor(doc: Document, sent_index: int, adverb_index: int, nearest:
     return nearest[adverb_index]
 
 
-def find_occurrences(doc: Document, cfg: ExtractionConfig, stats: ExtractionStats) -> list:
-    targets = cfg.targets
+def target_forms(docs: list, targets) -> frozenset:
+    """The token forms of `docs` whose lowercase is in `targets`. Each
+    distinct form is lowercased once, so a scan for target adverbs tests set
+    membership instead of lowercasing every token."""
+    forms = set()
+    for doc in docs:
+        forms.update(doc.tokens)
+    return frozenset(t for t in forms if t.lower() in targets)
+
+
+def find_occurrences(doc: Document, forms: frozenset, stats: ExtractionStats) -> list:
+    """Every target adverb of `doc` with a resolvable governor; `forms` is
+    target_forms of the corpus."""
     tokens, pos = doc.tokens, doc.pos
     occurrences = []
+    if forms.isdisjoint(tokens):
+        return occurrences
     for sent_index, (start, end) in enumerate(doc.bounds):
+        sentence = tokens[start:end]
+        if forms.isdisjoint(sentence):
+            continue
         nearest = []
-        for i in range(end - start):
-            adverb = tokens[start + i].lower()
-            if adverb not in targets:
+        for i, token in enumerate(sentence):
+            if token not in forms:
                 continue
+            adverb = token.lower()
             gov = resolve_governor(doc, sent_index, i, nearest)
             if gov is None:
                 stats.for_adverb(adverb).unresolved_governors += 1
@@ -279,70 +320,72 @@ def _window(doc: Document, sent_index: int, pivot_index: int,
     return out_tokens, out_pos
 
 
-def extract_positive(doc: Document, occ: Occurrence, cfg: ExtractionConfig) -> Sample | None:
+def extract_positive(doc: Document, occ: Occurrence, cfg: ExtractionConfig,
+                     forms: frozenset) -> Sample | None:
     """Window around the governor with the triggering adverb deleted.
 
-    Returns None when another target adverb survives in the window (such a
-    sample would leak the label); callers count these. Only the window's
-    capped tail is searched, so an adverb more than max_len + 1 positions
-    past the governor, which no truncated sample can hold, does not count."""
-    sent_start, _ = doc.bounds[occ.sent_index]
+    Returns None when another target adverb (a token in `forms`, the
+    corpus's target_forms) survives in the window: such a sample would leak
+    the label, and callers count these. Only the window's capped tail is
+    searched, so an adverb more than max_len + 1 positions past the
+    governor, which no truncated sample can hold, does not count. The
+    window is built only for a sample that is kept."""
+    sent_start, sent_end = doc.bounds[occ.sent_index]
     drop = sent_start + occ.adverb_index
-    tokens, pos = _window(doc, occ.sent_index, occ.governor_index, cfg, drop_global=drop)
-    targets = cfg.targets
-    if any(t.lower() in targets for t in tokens):
+    g = sent_start + occ.governor_index
+    lo = max(0, g - cfg.window_before)
+    hi = min(sent_end, g + 2 + cfg.max_len)  # the ends of _window's stream range
+    tokens = doc.tokens
+    if not (forms.isdisjoint(tokens[lo:min(drop, hi)])
+            and forms.isdisjoint(tokens[max(lo, drop + 1):hi])):
         return None
+    tokens, pos = _window(doc, occ.sent_index, occ.governor_index, cfg, drop_global=drop)
     sample = Sample(label=occ.adverb, tokens=tokens, pos=pos, section=doc.section_id)
     return truncate_sample(sample, cfg.max_len)
 
 
 def extract_negatives(docs: list, occurrences: list, cfg: ExtractionConfig,
-                      rng: Rng, stats: ExtractionStats) -> list:
+                      rng: Rng, stats: ExtractionStats, forms: frozenset) -> list:
     """One negative per positive occurrence, pivoting on the same governor
-    surface form in an adverb-free sentence. Documents are scanned in
-    rng-shuffled order, each from an rng-chosen sentence offset, to keep
-    position-related confounds out of the negative class.
+    surface form in an adverb-free sentence (one with no token in `forms`,
+    the corpus's target_forms). Documents are scanned in rng-shuffled order,
+    each from an rng-chosen sentence offset, to keep position-related
+    confounds out of the negative class. The offsets of all non-empty
+    documents are drawn at once, after the shuffle, so `rng` should serve
+    this call alone.
 
     Returns (adverb_group, Sample) pairs so negatives stay attached to the
     per-adverb dataset their positive came from.
     """
-    targets = cfg.targets
     demand: dict[str, deque] = {}
     for occ in occurrences:
         demand.setdefault(occ.governor, deque()).append(occ.adverb)
-    remaining = sum(len(q) for q in demand.values())
 
     results = []
-    doc_order = rng.shuffled(list(range(len(docs))))
-    for doc_idx in doc_order:
-        if remaining == 0:
+    doc_order = [i for i in rng.shuffled(list(range(len(docs)))) if docs[i].bounds]
+    offsets = rng.integers_below([len(docs[i].bounds) for i in doc_order])
+    for doc_idx, offset in zip(doc_order, offsets):
+        if not demand:
             break
         doc = docs[doc_idx]
         n_sent = len(doc.bounds)
-        if n_sent == 0:
-            continue
-        offset = rng.integers(0, n_sent)
         for k in range(n_sent):
-            if remaining == 0:
-                break
             sent_index = (offset + k) % n_sent
             start, end = doc.bounds[sent_index]
             sent_tokens = doc.tokens[start:end]
-            if any(t.lower() in targets for t in sent_tokens):
+            if demand.keys().isdisjoint(sent_tokens) or not forms.isdisjoint(sent_tokens):
                 continue
             for i, token in enumerate(sent_tokens):
                 queue = demand.get(token)
-                if not queue:
+                if queue is None:
                     continue
                 tokens, pos = _window(doc, sent_index, i, cfg)
                 sample = truncate_sample(
                     Sample(label="none", tokens=tokens, pos=pos, section=doc.section_id),
                     cfg.max_len)
-                adverb_group = queue.popleft()
-                results.append((adverb_group, sample))
-                remaining -= 1
-                if remaining == 0:
-                    break
+                results.append((queue.popleft(), sample))
+                if not queue:
+                    del demand[token]
 
     for queue in demand.values():
         for adverb in queue:
@@ -383,13 +426,21 @@ def split_dataset(samples: list, cfg: ExtractionConfig, rng: Rng) -> DatasetSpli
     return DatasetSplit(train=rest[n_dev:], dev=rest[:n_dev], test=test)
 
 
-def write_samples(path, samples) -> None:
+def write_samples(path, samples, lines: dict) -> None:
+    """Write `samples` as JSONL, one record per line. `lines` maps the id of
+    each sample already encoded to its line, and this call adds the ones it
+    encodes: the files of one extraction share one dict, so a sample in a
+    per-adverb file and in "all" is encoded once. The samples must outlive
+    the dict, since an id is reused once its object is gone."""
     def write(f):
         for s in samples:
-            record = {"label": s.label, "tokens": s.tokens, "pos": s.pos,
-                      "section": s.section}
-            f.write(json.dumps(record, ensure_ascii=False, separators=(",", ":")))
-            f.write("\n")
+            line = lines.get(id(s))
+            if line is None:
+                record = {"label": s.label, "tokens": s.tokens, "pos": s.pos,
+                          "section": s.section}
+                line = json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n"
+                lines[id(s)] = line
+            f.write(line)
     atomic_write(path, write)
 
 
@@ -404,32 +455,34 @@ def _is_str_list(value) -> bool:
 
 
 def read_samples(path) -> list:
+    """The samples of a UTF-8 JSONL file; a ParseError names the file and
+    the line."""
     samples = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"invalid JSON ({e.msg})", line=lineno) from None
-            if type(record) is not dict:
-                raise ParseError("expected a JSON object", line=lineno)
-            for key in ("label", "tokens", "pos", "section"):
-                if key not in record:
-                    raise ParseError(f"missing field {key!r}", line=lineno)
-            for key in ("label", "section"):
-                if type(record[key]) is not str:
-                    raise ParseError(f"field {key!r} must be a string", line=lineno)
-            for key in ("tokens", "pos"):
-                if not _is_str_list(record[key]):
-                    raise ParseError(f"field {key!r} must be a list of strings", line=lineno)
-            problem = _marker_problem(record["tokens"], record["pos"])
-            if problem:
-                raise ParseError(problem, line=lineno)
-            samples.append(Sample(label=record["label"], tokens=record["tokens"],
-                                  pos=record["pos"], section=record["section"]))
+    for lineno, line in text_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise ParseError(f"invalid JSON ({e.msg})", line=lineno, path=path) from None
+        if type(record) is not dict:
+            raise ParseError("expected a JSON object", line=lineno, path=path)
+        for key in ("label", "tokens", "pos", "section"):
+            if key not in record:
+                raise ParseError(f"missing field {key!r}", line=lineno, path=path)
+        for key in ("label", "section"):
+            if type(record[key]) is not str:
+                raise ParseError(f"field {key!r} must be a string", line=lineno, path=path)
+        for key in ("tokens", "pos"):
+            if not _is_str_list(record[key]):
+                raise ParseError(f"field {key!r} must be a list of strings",
+                                 line=lineno, path=path)
+        problem = _marker_problem(record["tokens"], record["pos"])
+        if problem:
+            raise ParseError(problem, line=lineno, path=path)
+        samples.append(Sample(label=record["label"], tokens=record["tokens"],
+                              pos=record["pos"], section=record["section"]))
     return samples
 
 
@@ -447,13 +500,14 @@ def run_extraction(docs: list, cfg: ExtractionConfig, rng: Rng):
     for adverb in cfg.adverbs:
         stats.for_adverb(adverb)
 
+    forms = target_forms(docs, cfg.targets)
     kept: list[tuple[Occurrence, Sample]] = []
     for doc in docs:
-        for occ in find_occurrences(doc, cfg, stats):
+        for occ in find_occurrences(doc, forms, stats):
             if not filter_too(occ):
                 stats.for_adverb(occ.adverb).filtered_too += 1
                 continue
-            sample = extract_positive(doc, occ, cfg)
+            sample = extract_positive(doc, occ, cfg, forms)
             if sample is None:
                 stats.for_adverb(occ.adverb).skipped_residual_adverb += 1
                 continue
@@ -461,7 +515,7 @@ def run_extraction(docs: list, cfg: ExtractionConfig, rng: Rng):
             kept.append((occ, sample))
 
     negatives = extract_negatives(docs, [occ for occ, _ in kept], cfg,
-                                  rng.child("negatives"), stats)
+                                  rng.child("negatives"), stats, forms)
     for adverb_group, _ in negatives:
         stats.for_adverb(adverb_group).negatives += 1
 

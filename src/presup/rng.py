@@ -38,6 +38,11 @@ class Rng:
     def integers(self, low: int, high: int) -> int:
         return int(self._gen.integers(low, high))
 
+    def integers_below(self, highs: list) -> list:
+        """One draw from [0, h) for each h of `highs`, in one call: the
+        values that successive integers(0, h) calls would give."""
+        return self._gen.integers(0, np.asarray(highs, dtype=np.int64)).tolist()
+
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 

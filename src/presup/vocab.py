@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ParseError, UsageError
 from .extraction import MARKER
-from .fileio import atomic_write
+from .fileio import atomic_write, text_lines
 from .rng import Rng
 
 UNK = "<unk>"
@@ -85,34 +85,33 @@ def parse_vector_file(path):
     keeps its first position in the dict and takes its last values. A
     malformed line is a ParseError naming the file and the line."""
     vectors, dim = {}, None
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            parts = line.rstrip("\n").split(" ")
-            if lineno == 1 and len(parts) == 2:
-                try:
-                    int(parts[0]), int(parts[1])
-                    continue  # header line
-                except ValueError:
-                    pass
-            if len(parts) < 2:
-                raise ParseError("vector line needs a token and values",
-                                 line=lineno, path=path)
-            token, values = parts[0], parts[1:]
+    for lineno, line in text_lines(path):
+        parts = line.rstrip("\n").split(" ")
+        if lineno == 1 and len(parts) == 2:
             try:
-                vec = np.array(values, dtype=np.float64)
+                int(parts[0]), int(parts[1])
+                continue  # header line
             except ValueError:
-                raise ParseError(f"non-numeric vector value for {token!r}",
-                                 line=lineno, path=path) from None
-            if not np.isfinite(vec).all():  # float() takes "nan", "inf" and "1e400"
-                raise ParseError(f"non-finite vector value for {token!r}",
-                                 line=lineno, path=path)
-            if dim is None:
-                dim = vec.size
-            elif vec.size != dim:
-                raise ParseError(
-                    f"vector for {token!r} has {vec.size} values, expected {dim}",
-                    line=lineno, path=path)
-            vectors[token] = vec
+                pass
+        if len(parts) < 2:
+            raise ParseError("vector line needs a token and values",
+                             line=lineno, path=path)
+        token, values = parts[0], parts[1:]
+        try:
+            vec = np.array(values, dtype=np.float64)
+        except ValueError:
+            raise ParseError(f"non-numeric vector value for {token!r}",
+                             line=lineno, path=path) from None
+        if not np.isfinite(vec).all():  # float() takes "nan", "inf" and "1e400"
+            raise ParseError(f"non-finite vector value for {token!r}",
+                             line=lineno, path=path)
+        if dim is None:
+            dim = vec.size
+        elif vec.size != dim:
+            raise ParseError(
+                f"vector for {token!r} has {vec.size} values, expected {dim}",
+                line=lineno, path=path)
+        vectors[token] = vec
     if dim is None:
         raise UsageError(f"empty vector file {path}")
     return vectors, dim

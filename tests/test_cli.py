@@ -135,6 +135,27 @@ def test_extract_parse_error_exit_code(tmp_path):
                  "--out", str(tmp_path / "o")]) == 2
 
 
+def test_extract_parse_error_names_the_corpus_and_line(tmp_path, capsys):
+    corrupt = tmp_path / "corrupt.txt"
+    corrupt.write_text("#doc d 1\nword\tNN\t0\n\nword\tNN\n")
+    cfg = _write_config(tmp_path, corrupt)
+    assert main(["extract", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"error: {corrupt}: line 4: expected 3 tab-separated fields, got 2" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n"])
+def test_extract_rejects_a_corpus_that_is_not_utf8(tmp_path, corpus_path, capsys, newline):
+    corpus = tmp_path / "latin1.txt"
+    lines = corpus_path.read_bytes().splitlines()
+    lines[2] = lines[2].replace(b"will", b"w\xffll")
+    corpus.write_bytes(newline.join(lines) + newline)
+    cfg = _write_config(tmp_path, corpus)
+    assert main(["extract", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"error: {corpus}: line 3: not valid UTF-8 (byte 0xff)" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.fixture
 def extracted(tmp_path, corpus_path):
     # a generous dev fraction keeps the small per-adverb dev splits nonempty
@@ -344,7 +365,7 @@ def test_eval_rejects_overlong_sample_before_attention(tmp_path, capsys, variant
     save_checkpoint(ckpt, model, "all")
     data = tmp_path / "long.jsonl"
     write_samples(data, [Sample("none", ["we", MARKER] + ["go"] * (n - 2),
-                                ["PRP", MARKER] + ["VB"] * (n - 2), "0")])
+                                ["PRP", MARKER] + ["VB"] * (n - 2), "0")], {})
     tracemalloc.start()
     try:
         rc = main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
@@ -434,6 +455,31 @@ def test_eval_rejects_a_non_string_token_with_line_number(extracted, capsys):
     assert "line 2: field 'tokens' must be a list of strings" in capsys.readouterr().err
 
 
+def test_eval_rejects_a_sample_file_that_is_not_utf8(extracted, capsys):
+    cfg, out = extracted
+    assert _train(cfg, out, 'model.variant="logreg"') == 0
+    good = (out / "datasets" / "all" / "test.jsonl").read_bytes().splitlines(keepends=True)
+    data = out / "latin1.jsonl"
+    data.write_bytes(good[0] + good[1].replace(b'"label":"', b'"label":"\xff', 1))
+    capsys.readouterr()
+    rc = main(["eval", "--checkpoint", str(out / "checkpoints" / "logreg_all.json"),
+               "--data", str(data), "--out", str(out)])
+    assert rc == 2
+    assert f"error: {data}: line 2: not valid UTF-8 (byte 0xff)" in capsys.readouterr().err
+
+
+def test_eval_parse_error_names_the_sample_file(extracted, capsys):
+    cfg, out = extracted
+    assert _train(cfg, out, 'model.variant="mfc"') == 0
+    data = out / "cut.jsonl"
+    data.write_text((out / "datasets" / "all" / "test.jsonl").read_text()[:-20] + "\n")
+    capsys.readouterr()
+    rc = main(["eval", "--checkpoint", str(out / "checkpoints" / "mfc_all.json"),
+               "--data", str(data), "--out", str(out)])
+    assert rc == 2
+    assert f"error: {data}: line 2: invalid JSON" in capsys.readouterr().err
+
+
 _TINY_WP = ('model.variant="wp"', "model.hidden_size=3", "model.embed_dim=5",
             "model.dense_units=3", 'train.dataset="again"', "train.max_epochs=2",
             "train.patience=1", "train.batch_size=2")
@@ -457,6 +503,18 @@ def test_train_rejects_a_non_finite_vector_value(extracted, data_dir, capsys,
     assert _train_wp(cfg, out, vectors) == 2
     assert f"{vectors}: line {line}: non-finite vector value for {token!r}" \
         in capsys.readouterr().err
+    assert not (out / "cache").exists()
+
+
+def test_train_rejects_a_vector_file_that_is_not_utf8(extracted, data_dir, capsys):
+    cfg, out = extracted
+    vectors = out.parent / "vectors.txt"
+    rows = (data_dir / "tiny_vectors.txt").read_bytes().splitlines(keepends=True)
+    rows[3] = b"\xfe" + rows[3]
+    vectors.write_bytes(b"".join(rows))
+    capsys.readouterr()
+    assert _train_wp(cfg, out, vectors) == 2
+    assert f"error: {vectors}: line 4: not valid UTF-8 (byte 0xfe)" in capsys.readouterr().err
     assert not (out / "cache").exists()
 
 

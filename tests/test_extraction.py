@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from presup import config
+from presup import config, extraction
 from presup.config import ExtractionConfig, encode
 from presup.errors import ParseError, UsageError
 from presup.extraction import (MARKER, Document, ExtractionStats, Sample, _marker_problem,
                                _window, extract_positive, filter_too, find_occurrences,
                                parse_corpus, read_samples, resolve_governor, run_extraction,
-                               sample_target, split_dataset, truncate_sample, write_samples)
+                               sample_target, split_dataset, target_forms, truncate_sample,
+                               write_samples)
 from presup.rng import Rng
+from oracles import extraction_reference, parse_corpus_reference
 
 CFG = ExtractionConfig(test_sections=("22",))
 
@@ -21,8 +23,12 @@ def _doc(docs, doc_id):
     return next(d for d in docs if d.doc_id == doc_id)
 
 
+def _forms(doc):
+    return target_forms([doc], CFG.targets)
+
+
 def _occurrences(doc):
-    return find_occurrences(doc, CFG, ExtractionStats())
+    return find_occurrences(doc, _forms(doc), ExtractionStats())
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +65,42 @@ def test_parse_corpus_errors():
         parse_corpus("#doc d 1\na\tNN\t5\n\n")
     with pytest.raises(ParseError, match="empty token"):
         parse_corpus("#doc d 1\n\tNN\t-1\n")
+
+
+def test_out_of_range_heads_report_the_first():
+    with pytest.raises(ParseError, match="head index 7 out of range") as e:
+        parse_corpus("#doc d 1\na\tNN\t-1\nb\tNN\t7\nc\tNN\t-2\n\n")
+    assert e.value.line == 5
+    with pytest.raises(ParseError, match="head index -2 out of range"):
+        parse_corpus("#doc d 1\na\tNN\t-2\nb\tNN\t7\n")
+    with pytest.raises(ParseError, match="head index -2 out of range"):
+        parse_corpus("#doc d 1\na\tNN\t-2\n")
+
+
+# lines near the format: token lines with odd fields, headers, blanks and junk
+_SOUP_LINE = st.one_of(
+    st.tuples(st.sampled_from(["a", "#doc", "", " "]), st.sampled_from(["NN", "", " "]),
+              st.sampled_from(["0", "1", "-1", "-2", "3", " 1 ", "+1", "x", "", "1\n"]))
+    .map("\t".join),
+    st.sampled_from(["#doc d 1", "#doc d", "#doc d 1 2", "#docx d 1", "", " ", "\t",
+                     "\t\t", " \t \t ", "a\tNN", "a\tNN\t1\t2", "a b c", "a\tNN\t1\n"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.booleans(), st.lists(_SOUP_LINE, max_size=12), st.sampled_from(["\n", "\r\n"]))
+def test_parse_corpus_matches_the_reference_parser_on_any_lines(header, lines, end):
+    # the same Documents, or the same error on the same line
+    def outcome(parse, stream):
+        try:
+            return parse(stream)
+        except ParseError as e:
+            return str(e), e.line
+
+    lines = ["#doc d 1"] * header + lines
+    text = end.join(lines)
+    assert outcome(parse_corpus, text) == outcome(parse_corpus_reference, text)
+    kept = [line + "\n" for line in lines]  # as a file iterator yields them
+    assert outcome(parse_corpus, iter(kept)) == outcome(parse_corpus_reference, iter(kept))
 
 
 def test_parse_corpus_reads_its_stream_line_by_line():
@@ -225,7 +267,7 @@ def test_filter_too(corpus_docs):
 def test_positive_deletes_adverb_and_marks_governor(corpus_docs):
     doc = _doc(corpus_docs, "d01")
     occ = _occurrences(doc)[0]
-    sample = extract_positive(doc, occ, CFG)
+    sample = extract_positive(doc, occ, CFG, _forms(doc))
     assert sample.label == "again"
     assert sample.tokens == ["We", "will", MARKER, "go", "to", "the", "park",
                              "tomorrow", "."]
@@ -239,14 +281,14 @@ def test_positive_with_residual_trigger_is_skipped(corpus_docs):
     # leaves the other adverb in its window
     for occ in _occurrences(doc):
         if occ.sent_index == 1:
-            assert extract_positive(doc, occ, CFG) is None
+            assert extract_positive(doc, occ, CFG, _forms(doc)) is None
 
 
 def test_window_crosses_sentences_and_truncates_to_max_len(corpus_docs):
     doc = _doc(corpus_docs, "d10")
     occ = _occurrences(doc)[0]
     assert occ.adverb == "still"
-    sample = extract_positive(doc, occ, CFG)
+    sample = extract_positive(doc, occ, CFG, _forms(doc))
     assert len(sample.tokens) == 60
     # 50-token backward window reaches f15; truncation then drops the two
     # oldest tokens, so the surviving context starts at f17
@@ -284,7 +326,7 @@ def test_capped_window_truncates_to_the_uncapped_sample():
     tokens[150], pos[150] = "too", "RB"
     doc = Document("d", "0", tokens=tokens, pos=pos, head=[-1] * n, bounds=[(0, n)])
     occ = _occurrences(doc)[0]
-    sample = extract_positive(doc, occ, CFG)
+    sample = extract_positive(doc, occ, CFG, _forms(doc))
     full = [t for i, t in enumerate(tokens) if i != 6]
     assert sample.tokens == full[:5] + [MARKER] + full[5:5 + CFG.max_len - 6]
     assert "too" not in sample.tokens
@@ -399,6 +441,61 @@ def test_run_extraction_seed_changes_split(corpus_docs):
     assert sorted(all_a) == sorted(all_b)  # same material, different order
 
 
+def test_a_window_is_built_once_per_emitted_sample(corpus_docs, monkeypatch):
+    built = []
+    window = extraction._window
+    monkeypatch.setattr(extraction, "_window", lambda *a, **k: built.append(a) or window(*a, **k))
+    datasets, stats = run_extraction(corpus_docs, CFG, Rng(42))
+    emitted = sum(s["positives"] + s["negatives"] for s in stats.to_dict().values())
+    assert len(built) == emitted == len(_all_samples(datasets["all"])) == 15
+
+
+def test_an_adverb_past_the_tail_cap_is_not_a_residual_of_another():
+    # max_len 2 caps every tail 4 positions past its governor "went"; "too"
+    # and "again" both lie past the cap, so each positive keeps the other out
+    tokens = ["went", "x", "x", "x", "x", "too", "x", "again"]
+    doc = Document("d", "0", tokens=tokens, pos=["VBD"] + ["RB"] * 7,
+                   head=[-1, 0, 0, 0, 0, 0, 0, 0], bounds=[(0, 8)])
+    cfg = ExtractionConfig(adverbs=("again", "too"), window_before=1, max_len=2)
+    datasets, stats = run_extraction([doc], cfg, Rng(3))
+    assert [stats.to_dict()[a]["positives"] for a in ("again", "too")] == [1, 1]
+    assert (datasets, stats) == extraction_reference([doc], cfg, Rng(3))
+
+
+_CASED = ["again", "Again", "AGAIN", "too", "Too", "still", "StiLL", "yet"]
+
+
+@st.composite
+def _cased_corpus(draw):
+    """Documents over a small vocabulary: target adverbs in mixed case, a
+    non-target adverb, few governors so they repeat, and sentences longer
+    than the window's tail cap."""
+    docs = []
+    for d in range(draw(st.integers(1, 4))):
+        doc = Document(f"d{d}", draw(st.sampled_from(["0", "1", "2"])))
+        for _ in range(draw(st.integers(0, 3))):
+            n = draw(st.integers(1, 14))
+            doc.bounds.append((len(doc.tokens), len(doc.tokens) + n))
+            doc.tokens += draw(st.lists(st.sampled_from(_CASED + ["go", "went", "x", "y"]),
+                                        min_size=n, max_size=n))
+            doc.pos += draw(st.lists(st.sampled_from(["VB", "VBD", "RB", "JJ", "NN"]),
+                                     min_size=n, max_size=n))
+            doc.head += draw(st.lists(st.integers(-1, n - 1), min_size=n, max_size=n))
+        docs.append(doc)
+    return docs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cased_corpus(), st.integers(1, 5), st.integers(2, 7), st.integers(0, 2**32))
+def test_run_extraction_matches_the_reference(docs, window_before, max_len, seed):
+    cfg = ExtractionConfig(adverbs=("again", "too", "still"), window_before=window_before,
+                           max_len=max_len, test_sections=("1",))
+    datasets, stats = run_extraction(docs, cfg, Rng(seed))
+    expected, expected_stats = extraction_reference(docs, cfg, Rng(seed))
+    assert stats.to_dict() == expected_stats.to_dict()
+    assert datasets == expected  # the same samples, in the same order
+
+
 # ---------------------------------------------------------------------------
 # splitting
 
@@ -442,7 +539,7 @@ def test_samples_round_trip(tmp_path, corpus_docs):
     datasets, _ = run_extraction(corpus_docs, CFG, Rng(42))
     samples = _all_samples(datasets["all"])
     path = tmp_path / "samples.jsonl"
-    write_samples(path, samples)
+    write_samples(path, samples, {})
     back = read_samples(path)
     assert [(s.label, s.tokens, s.pos, s.section) for s in samples] == \
         [(s.label, s.tokens, s.pos, s.section) for s in back]
@@ -465,7 +562,7 @@ def _samples(draw):
 @given(st.lists(_samples(), max_size=5))
 def test_samples_round_trip_property(tmp_path_factory, samples):
     path = tmp_path_factory.mktemp("samples") / "samples.jsonl"
-    write_samples(path, samples)
+    write_samples(path, samples, {})
     assert read_samples(path) == samples
 
 

@@ -20,7 +20,7 @@ def test_atomic_write_replaces_the_file(tmp_path):
 
 def test_writer_that_raises_leaves_the_old_file(tmp_path):
     path = tmp_path / "train.jsonl"
-    write_samples(path, [SAMPLE] * 3)
+    write_samples(path, [SAMPLE] * 3, {})
     old = path.read_bytes()
 
     def half_then_fail(f):
@@ -36,7 +36,7 @@ def test_writer_that_raises_leaves_the_old_file(tmp_path):
         raise KeyboardInterrupt
 
     with pytest.raises(KeyboardInterrupt):
-        write_samples(path, samples())
+        write_samples(path, samples(), {})
     assert path.read_bytes() == old
     assert os.listdir(tmp_path) == ["train.jsonl"]
     assert read_samples(path) == [SAMPLE] * 3

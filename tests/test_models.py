@@ -879,7 +879,7 @@ def _eval_malformed(tmp_path, capsys, variant, corrupt):
     save_checkpoint(path, model, dataset_id="all")
     path.write_bytes(corrupt(path.read_bytes()))
     data = tmp_path / "test.jsonl"
-    write_samples(data, samples)
+    write_samples(data, samples, {})
     rc = main(["eval", "--checkpoint", str(path), "--data", str(data),
                "--out", str(tmp_path / "out")])
     return rc, capsys.readouterr().err, str(path)
@@ -945,7 +945,7 @@ def test_checkpoint_vocabulary_without_unk_is_usage_error(pos_mode, field, tmp_p
         items[items.index(UNK)] = "<unknown>"
     path.write_bytes(_edit(rename_unk)(path.read_bytes()))
     data = tmp_path / "test.jsonl"
-    write_samples(data, samples)
+    write_samples(data, samples, {})
     rc = main(["eval", "--checkpoint", str(path), "--data", str(data),
                "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err

@@ -32,6 +32,17 @@ def test_same_seed_same_stream():
     assert Rng(99).integers(0, 1000) == Rng(99).integers(0, 1000)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 42, 2**40 + 3])
+def test_integers_below_draws_what_successive_integers_calls_draw(seed):
+    # extraction draws every document's sentence offset in one call; the
+    # mined negatives, and so the recorded extract digests, rely on these
+    # being the values of one integers(0, h) call per document
+    highs = [1, 2, 3, 1, 7, 40, 1, 1000, 2**31, 2**32, 2**33 + 5, 5] * 40
+    scalar = Rng(seed)
+    assert Rng(seed).integers_below(highs) == [scalar.integers(0, h) for h in highs]
+    assert Rng(seed).integers_below([]) == []
+
+
 def test_child_streams_are_independent_and_reproducible():
     root = Rng(5)
     a1 = root.child("alpha").uniform(0, 1, 5)
