@@ -120,7 +120,7 @@ def load_checkpoint(path):
     with open(path, "rb") as f:
         try:
             doc = json.loads(f.readline())  # v1 and v2 files are one line
-        except ValueError as e:  # truncated, not JSON or not UTF-8
+        except (ValueError, RecursionError) as e:  # truncated, not JSON, not UTF-8 or too deep
             raise UsageError(f"{path}: not valid JSON ({e})") from None
         if not hasattr(doc, "get") or doc.get("format") not in READABLE:
             raise UsageError(f"{path}: not a {' or '.join(READABLE)} file")

@@ -8,6 +8,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import UsageError
+from .fileio import undecodable
 from .rng import derive_seed
 
 DEFAULT_ADVERBS = ("again", "also", "still", "too", "yet")
@@ -212,11 +213,15 @@ def decode(cls, fields):
 
 
 def load_config_dict(path) -> dict:
-    with open(path, "r", encoding="utf-8") as f:
-        try:
+    """The JSON object of a UTF-8 config file; a file that is not one is a
+    UsageError, or a ParseError for a byte that is not UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
             d = json.load(f)
-        except json.JSONDecodeError as e:
-            raise UsageError(f"config {path}: invalid JSON ({e})") from None
+    except (json.JSONDecodeError, RecursionError) as e:  # too deeply nested
+        raise UsageError(f"config {path}: invalid JSON ({e})") from None
+    except UnicodeDecodeError:
+        raise undecodable(path) from None
     if not isinstance(d, dict):
         raise UsageError(f"config {path}: top level must be an object")
     return d
@@ -224,14 +229,14 @@ def load_config_dict(path) -> dict:
 
 def apply_overrides(d: dict, overrides) -> dict:
     """Apply repeatable --set key.path=value flags; values parse as JSON
-    literals, falling back to plain strings."""
+    literals, falling back to plain strings (also when nested too deeply)."""
     for item in overrides or ():
         if "=" not in item:
             raise UsageError(f"--set expects key=value, got {item!r}")
         key, raw = item.split("=", 1)
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):
             value = raw
         node = d
         parts = key.split(".")

@@ -466,6 +466,8 @@ def read_samples(path) -> list:
             record = json.loads(line)
         except json.JSONDecodeError as e:
             raise ParseError(f"invalid JSON ({e.msg})", line=lineno, path=path) from None
+        except RecursionError:
+            raise ParseError("invalid JSON (nested too deeply)", line=lineno, path=path) from None
         if type(record) is not dict:
             raise ParseError("expected a JSON object", line=lineno, path=path)
         for key in ("label", "tokens", "pos", "section"):

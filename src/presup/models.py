@@ -145,39 +145,33 @@ def lstm_sequence(X: Tensor, W: Tensor, b: Tensor, reverse: bool,
     B = len(lengths)
     real = np.arange(steps) < lengths[:, None]  # (B, T)
     order = range(steps - 1, -1, -1) if reverse else range(steps)
-
-    def fwd_full():
-        W_x, W_h = W.data[:, :n], W.data[:, n:]
-        proj = (X.data[first] @ W_x.T + b.data.T)[index].reshape(B, steps, 4 * s)
-        out = np.zeros((steps, B, s))
-        h_prev = np.zeros((B, steps, s))
-        cache = []
-        h = np.zeros((B, s))
-        c = np.zeros((B, s))
-        for t in order:
-            a = proj[:, t] + h @ W_h.T
-            i = T._sigmoid(a[:, 0:s])
-            f = T._sigmoid(a[:, s:2 * s])
-            g = np.tanh(a[:, 2 * s:3 * s])
-            o = T._sigmoid(a[:, 3 * s:4 * s])
-            c_prev = c
-            h_prev[:, t] = h
-            c = f * c_prev + i * g
-            h = o * np.tanh(c)
-            m = real[:, t:t + 1]
-            if not m.all():
-                c = np.where(m, c, c_prev)
-                h = np.where(m, h, h_prev[:, t])
-                out[t] = np.where(m, h, 0.0)
-            else:
-                out[t] = h
-            cache.append((t, m, i, f, g, o, c, c_prev))
-        return out.transpose(2, 1, 0).reshape(s, rows), h_prev, cache
-
-    out_data, h_prev, cache = fwd_full()
+    W_x, W_h = W.data[:, :n], W.data[:, n:]
+    proj = (X.data[first] @ W_x.T + b.data.T)[index].reshape(B, steps, 4 * s)
+    out = np.zeros((steps, B, s))
+    h_prev = np.zeros((B, steps, s))
+    cache = []
+    h = np.zeros((B, s))
+    c = np.zeros((B, s))
+    for t in order:
+        a = proj[:, t] + h @ W_h.T
+        i = T._sigmoid(a[:, 0:s])
+        f = T._sigmoid(a[:, s:2 * s])
+        g = np.tanh(a[:, 2 * s:3 * s])
+        o = T._sigmoid(a[:, 3 * s:4 * s])
+        c_prev = c
+        h_prev[:, t] = h
+        c = f * c_prev + i * g
+        h = o * np.tanh(c)
+        m = real[:, t:t + 1]
+        if not m.all():
+            c = np.where(m, c, c_prev)
+            h = np.where(m, h, h_prev[:, t])
+            out[t] = np.where(m, h, 0.0)
+        else:
+            out[t] = h
+        cache.append((t, m, i, f, g, o, c, c_prev))
 
     def vjp(grad, needs):
-        W_x, W_h = W.data[:, :n], W.data[:, n:]
         grad = grad.reshape(s, B, steps)
         d_a = np.zeros((B, steps, 4 * s))
         dh = np.zeros((B, s))
@@ -202,7 +196,7 @@ def lstm_sequence(X: Tensor, W: Tensor, b: Tensor, reverse: bool,
         d_W = np.hstack([d_a.T @ X.data, d_a.T @ h_prev.reshape(rows, s)])
         return d_a @ W_x if needs[0] else None, d_W, d_a.sum(axis=0)[:, None]
 
-    return T._record(Tensor(out_data), (X, W, b), lambda: fwd_full()[0], vjp)
+    return T._record(Tensor(out.transpose(2, 1, 0).reshape(s, rows)), (X, W, b), vjp)
 
 
 def conv_max_pool(X: Tensor, W: Tensor, b: Tensor, width: int, steps: int,
@@ -231,20 +225,16 @@ def conv_max_pool(X: Tensor, W: Tensor, b: Tensor, width: int, steps: int,
                          f"{steps} rows, with W {W.shape} and b {b.shape}")
     _check_row_index(index, rows)
     index = index.reshape(B, steps)
-
-    def fwd_full():
-        by_shift = W.data.reshape(width, n, maps).transpose(1, 0, 2).reshape(n, width * maps)
-        P = (X.data[first] @ by_shift).reshape(-1, width, maps)
-        acc = P[index[:, 0:m], 0]
-        for j in range(1, width):
-            acc += P[index[:, j:j + m], j]
-        acc += b.data
-        win = acc.argmax(axis=1)  # (B, maps): the first window at each maximum
-        top = np.take_along_axis(acc, win[:, None], axis=1)[:, 0]
-        return np.maximum(top, 0.0).T.copy(), win.T, top.T > 0.0
-
-    out, win, positive = fwd_full()
-    starts = win + np.arange(B) * steps  # (maps, B): first row of each winning window
+    by_shift = W.data.reshape(width, n, maps).transpose(1, 0, 2).reshape(n, width * maps)
+    P = (X.data[first] @ by_shift).reshape(-1, width, maps)
+    acc = P[index[:, 0:m], 0]
+    for j in range(1, width):
+        acc += P[index[:, j:j + m], j]
+    acc += b.data
+    win = acc.argmax(axis=1)  # (B, maps): the first window at each maximum
+    top = np.take_along_axis(acc, win[:, None], axis=1)[:, 0]
+    positive = top.T > 0.0
+    starts = win.T + np.arange(B) * steps  # (maps, B): first row of each winning window
     indptr = np.arange(0, maps * B + 1, B)
 
     def vjp(g, needs):
@@ -262,7 +252,7 @@ def conv_max_pool(X: Tensor, W: Tensor, b: Tensor, width: int, steps: int,
                 d_X += pick.T @ W.data[j * n:(j + 1) * n].T
         return d_X, d_W, g.sum(axis=1)[None, :]
 
-    return T._record(Tensor(out), (X, W, b), lambda: fwd_full()[0], vjp)
+    return T._record(Tensor(np.maximum(top, 0.0).T.copy()), (X, W, b), vjp)
 
 
 def attention_weights(H: Tensor, lengths):
@@ -287,17 +277,12 @@ def attention_weights(H: Tensor, lengths):
     real = np.arange(steps) < lengths[:, None]
     pair = real[:, :, None] & real[:, None, :]
     states = H.data.reshape(width, B, steps).transpose(1, 2, 0)  # (B, T, 2s)
-
-    def fwd_full():
-        M = states @ states.transpose(0, 2, 1)
-        scores = np.where(pair, M, -np.inf)
-        M_row = T._softmax(scores, 2)
-        M_col = T._softmax(scores, 1)
-        beta = M_row.sum(axis=1) / lengths[:, None]  # (B, T)
-        alpha = (M_col @ beta[:, :, None])[:, :, 0]
-        return M, M_row, M_col, beta, alpha
-
-    M, M_row, M_col, beta, alpha = fwd_full()
+    M = states @ states.transpose(0, 2, 1)
+    scores = np.where(pair, M, -np.inf)
+    M_row = T._softmax(scores, 2)
+    M_col = T._softmax(scores, 1)
+    beta = M_row.sum(axis=1) / lengths[:, None]  # (B, T)
+    alpha = (M_col @ beta[:, :, None])[:, :, 0]
     alt = (M_row.transpose(0, 2, 1) @ beta[:, :, None])[:, :, 0]
     if np.max(np.abs(alpha - alt)) > 1e-10:
         raise ArithmeticError("attention dual-form mismatch: M_col beta != M_row^T beta")
@@ -312,7 +297,7 @@ def attention_weights(H: Tensor, lengths):
         d_states = (d_M + d_M.transpose(0, 2, 1)) @ states
         return (d_states.transpose(2, 0, 1).reshape(width, cols),)
 
-    out = T._record(Tensor(alpha.T.copy()), (H,), lambda: fwd_full()[4].T.copy(), vjp)
+    out = T._record(Tensor(alpha.T.copy()), (H,), vjp)
     return Tensor(M), Tensor(M_row), Tensor(M_col), Tensor(beta.T.copy()), out
 
 
@@ -324,9 +309,7 @@ def pool_states(H: Tensor, alpha: Tensor) -> Tensor:
     if steps * B != cols:
         raise ShapeError(f"pool_states: weights {alpha.shape} over states {H.shape}")
     states = H.data.reshape(width, B, steps).transpose(1, 0, 2)  # (B, 2s, T)
-
-    def fwd():
-        return (states @ alpha.data.T[:, :, None])[:, :, 0].T.copy()
+    c = (states @ alpha.data.T[:, :, None])[:, :, 0].T.copy()
 
     def vjp(g, needs):
         d_H = g[:, :, None] * alpha.data.T[None, :, :]
@@ -334,7 +317,7 @@ def pool_states(H: Tensor, alpha: Tensor) -> Tensor:
             if needs[1] else None  # fixed weights (mean pooling) need none
         return d_H.reshape(width, cols), d_alpha
 
-    return T._record(Tensor(fwd()), (H, alpha), fwd, vjp)
+    return T._record(Tensor(c), (H, alpha), vjp)
 
 
 def _activation(name: str):

@@ -42,9 +42,6 @@ class ParamStore:
         for name in self.names():
             yield name, self._tensors[name]
 
-    def param_count(self) -> int:
-        return sum(t.size for _, t in self.items())
-
     def copy_values(self) -> dict:
         return {name: t.data.copy() for name, t in self.items()}
 

@@ -2,9 +2,9 @@
 
 Every operation is a module-level function. When a :class:`Tape` is active
 (entered as a context manager), each op appends a node holding the output,
-the input tensors, a forward closure (for replay checks) and a vector-Jacobian
-product ``vjp(g, needs)``, where ``needs[i]`` says whether input i needs a
-gradient. :func:`backward` walks the tape in reverse, visiting each node once.
+the input tensors and a vector-Jacobian product ``vjp(g, needs)``, where
+``needs[i]`` says whether input i needs a gradient. :func:`backward` walks the
+tape in reverse, visiting each node once.
 
 Shapes are plain numpy shapes; model code keeps everything 2-D and represents
 vectors as single-column matrices.
@@ -32,10 +32,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self):
         if self.data.size != 1:
             raise UsageError(f"item() on tensor of shape {self.data.shape}")
@@ -46,12 +42,11 @@ class Tensor:
 
 
 class _Node:
-    __slots__ = ("out", "inputs", "fwd", "vjp")
+    __slots__ = ("out", "inputs", "vjp")
 
-    def __init__(self, out, inputs, fwd, vjp):
+    def __init__(self, out, inputs, vjp):
         self.out = out
         self.inputs = inputs
-        self.fwd = fwd
         self.vjp = vjp
 
 
@@ -73,15 +68,10 @@ class Tape:
     def __len__(self):
         return len(self.nodes)
 
-    def replay(self) -> bool:
-        """Recompute every recorded op from its inputs; True iff all outputs
-        reproduce bit-identically."""
-        return all(np.array_equal(n.fwd(), n.out.data) for n in self.nodes)
 
-
-def _record(out, inputs, fwd, vjp):
+def _record(out, inputs, vjp):
     if _TAPE_STACK:
-        _TAPE_STACK[-1].nodes.append(_Node(out, inputs, fwd, vjp))
+        _TAPE_STACK[-1].nodes.append(_Node(out, inputs, vjp))
     return out
 
 
@@ -103,49 +93,33 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} @ {b.shape}")
     out = Tensor(a.data @ b.data)
-    return _record(
-        out, (a, b),
-        lambda: a.data @ b.data,
-        lambda g, needs: (g @ b.data.T if needs[0] else None,
-                          a.data.T @ g if needs[1] else None),
-    )
+    return _record(out, (a, b), lambda g, needs: (g @ b.data.T if needs[0] else None,
+                                                  a.data.T @ g if needs[1] else None))
 
 
 def _binary(a, b, fn, name):
     try:
-        shape = np.broadcast_shapes(a.shape, b.shape)
+        np.broadcast_shapes(a.shape, b.shape)
     except ValueError:
         raise ShapeError(f"{name}: incompatible shapes {a.shape}, {b.shape}") from None
-    del shape
     return Tensor(fn(a.data, b.data))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = _binary(a, b, np.add, "add")
-    return _record(
-        out, (a, b),
-        lambda: a.data + b.data,
-        lambda g, _: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)),
-    )
+    return _record(out, (a, b), lambda g, _: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = _binary(a, b, np.multiply, "mul")
-    return _record(
-        out, (a, b),
-        lambda: a.data * b.data,
-        lambda g, needs: (_unbroadcast(g * b.data, a.shape) if needs[0] else None,
-                          _unbroadcast(g * a.data, b.shape) if needs[1] else None),
-    )
+    return _record(out, (a, b),
+                   lambda g, needs: (_unbroadcast(g * b.data, a.shape) if needs[0] else None,
+                                     _unbroadcast(g * a.data, b.shape) if needs[1] else None))
 
 
 def tanh(x: Tensor) -> Tensor:
     out = Tensor(np.tanh(x.data))
-    return _record(
-        out, (x,),
-        lambda: np.tanh(x.data),
-        lambda g, _: (g * (1.0 - out.data ** 2),),
-    )
+    return _record(out, (x,), lambda g, _: (g * (1.0 - out.data ** 2),))
 
 
 def _sigmoid(a):
@@ -168,11 +142,7 @@ def _softmax(a: np.ndarray, axis: int) -> np.ndarray:
 
 def relu(x: Tensor) -> Tensor:
     out = Tensor(np.maximum(x.data, 0.0))
-    return _record(
-        out, (x,),
-        lambda: np.maximum(x.data, 0.0),
-        lambda g, _: (g * (x.data > 0.0),),
-    )
+    return _record(out, (x,), lambda g, _: (g * (x.data > 0.0),))
 
 
 def concat(tensors, axis: int) -> Tensor:
@@ -195,9 +165,7 @@ def concat(tensors, axis: int) -> Tensor:
     def vjp(g, _):
         return tuple(np.split(g, splits, axis=axis))
 
-    return _record(out, tuple(tensors),
-                   lambda: np.concatenate([t.data for t in tensors], axis=axis),
-                   vjp)
+    return _record(out, tuple(tensors), vjp)
 
 
 def gather_rows(table: Tensor, indices) -> Tensor:
@@ -209,7 +177,7 @@ def gather_rows(table: Tensor, indices) -> Tensor:
         np.add.at(z, idx, g)
         return (z,)
 
-    return _record(out, (table,), lambda: table.data[idx], vjp)
+    return _record(out, (table,), vjp)
 
 
 def softmax_cols(x: Tensor) -> Tensor:
@@ -222,7 +190,7 @@ def softmax_cols(x: Tensor) -> Tensor:
         dot = (g * s).sum(axis=0, keepdims=True)
         return (s * (g - dot),)
 
-    return _record(out, (x,), lambda: _softmax(x.data, 0), vjp)
+    return _record(out, (x,), vjp)
 
 
 # ---------------------------------------------------------------------------

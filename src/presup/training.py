@@ -73,14 +73,10 @@ def batch_loss(probs, labels) -> Tensor:
             raise UsageError(f"label must be 0 or 1, got {y!r}")
     scale = 1.0 / len(labels)
     where = (np.array(labels), np.arange(len(labels)))
-
-    def fwd():
-        nll = -np.log(np.maximum(probs.data[where], LOG_FLOOR))
-        total = nll[0]
-        for value in nll[1:]:  # left to right, not pairwise
-            total += value
-        return np.array([[total * scale]])
-
+    nll = -np.log(np.maximum(probs.data[where], LOG_FLOOR))
+    total = nll[0]
+    for value in nll[1:]:  # left to right, not pairwise
+        total += value
     clamped = int(np.sum(probs.data[where] < LOG_FLOOR))
     if clamped:
         logger.warning("batch_loss: %d probabilities clamped to %g", clamped, LOG_FLOOR)
@@ -91,7 +87,7 @@ def batch_loss(probs, labels) -> Tensor:
         d_probs[where] = -(g[0, 0] * scale) / np.maximum(p, LOG_FLOOR) * (p > LOG_FLOOR)
         return (d_probs,)
 
-    return T._record(Tensor(fwd()), (probs,), fwd, vjp)
+    return T._record(Tensor(np.array([[total * scale]])), (probs,), vjp)
 
 
 def evaluate(model, data, model_id: str = "", dataset_id: str = "") -> EvalReport:

@@ -93,6 +93,46 @@ def tape_sum(x: T.Tensor) -> T.Tensor:
                     T.Tensor(np.ones((cols, 1))))
 
 
+def count_params(store) -> int:
+    """Number of scalar parameters in a ParamStore."""
+    return sum(t.data.size for _, t in store.items())
+
+
+class _CopyOnAppend(list):
+    """The node list of a CheckedTape: appending a node also snapshots the
+    arrays of its inputs and its output."""
+
+    def __init__(self, snapshots):
+        super().__init__()
+        self.snapshots = snapshots
+
+    def append(self, node):
+        self.snapshots.append(([t.data.copy() for t in node.inputs], node.out.data.copy()))
+        super().append(node)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class CheckedTape(T.Tape):
+    """A Tape that copies each node's input and output arrays as the node
+    is recorded. A VJP reads its inputs (and often views of them) when
+    backward() runs, so an input written in place after its node was
+    recorded gives wrong gradients; unchanged() detects that, and an output
+    written in place, by comparing every array bit for bit with its copy."""
+
+    def __init__(self):
+        super().__init__()
+        self.snapshots = []
+        self.nodes = _CopyOnAppend(self.snapshots)
+
+    def unchanged(self) -> bool:
+        return all(all(_same_bits(t.data, a) for t, a in zip(node.inputs, ins))
+                   and _same_bits(node.out.data, out)
+                   for node, (ins, out) in zip(self.nodes, self.snapshots))
+
+
 def parse_corpus_reference(stream) -> list:
     """The corpus format read one line at a time with every check on every
     line: strip the line break, then header, blank line, token line before

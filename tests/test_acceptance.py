@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import synth
-from oracles import fd_gradient, max_rel_err
+from oracles import count_params, fd_gradient, max_rel_err
 from presup.cli import main
 from presup.config import ModelConfig, TrainConfig
 from presup.extraction import MARKER, Sample
@@ -144,7 +144,7 @@ def test_parameter_parity_with_baseline(hidden, pos_mode, pos_dim):
                                          embed_dim=12, pos_mode=pos_mode,
                                          pos_dim=pos_dim),
                              vocab, emb, Rng(7))
-    assert wp.params.param_count() == base.params.param_count()
+    assert count_params(wp.params) == count_params(base.params)
 
 
 # ---------------------------------------------------------------------------

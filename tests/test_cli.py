@@ -156,6 +156,30 @@ def test_extract_rejects_a_corpus_that_is_not_utf8(tmp_path, corpus_path, capsys
     assert not (tmp_path / "o").exists()
 
 
+def test_config_that_is_not_utf8_names_the_file_and_line(tmp_path, capsys):
+    cfg = tmp_path / "latin1.json"
+    cfg.write_bytes(b'{"paths": {"corpus": "\xff"}}\n')
+    assert main(["extract", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"error: {cfg}: line 1: not valid UTF-8 (byte 0xff)" in capsys.readouterr().err
+
+
+DEEP = "[" * 200_000  # deeper than the JSON decoder's recursion limit
+
+
+def test_deeply_nested_config_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "deep.json"
+    cfg.write_text(DEEP)
+    assert main(["extract", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"error: config {cfg}: invalid JSON (" in capsys.readouterr().err
+
+
+def test_deeply_nested_set_value_is_a_plain_string(tmp_path, corpus_path, capsys):
+    cfg = _write_config(tmp_path, corpus_path)
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--set", f"model.variant={DEEP}"]) == 2
+    assert "error: unknown model variant '[[[" in capsys.readouterr().err
+
+
 @pytest.fixture
 def extracted(tmp_path, corpus_path):
     # a generous dev fraction keeps the small per-adverb dev splits nonempty
@@ -466,6 +490,30 @@ def test_eval_rejects_a_sample_file_that_is_not_utf8(extracted, capsys):
                "--data", str(data), "--out", str(out)])
     assert rc == 2
     assert f"error: {data}: line 2: not valid UTF-8 (byte 0xff)" in capsys.readouterr().err
+
+
+def test_eval_rejects_a_deeply_nested_sample_line(extracted, capsys):
+    cfg, out = extracted
+    assert _train(cfg, out, 'model.variant="mfc"') == 0
+    good = (out / "datasets" / "all" / "test.jsonl").read_text().splitlines(keepends=True)
+    data = out / "deep.jsonl"
+    data.write_text(good[0] + DEEP + "\n")
+    capsys.readouterr()
+    rc = main(["eval", "--checkpoint", str(out / "checkpoints" / "mfc_all.json"),
+               "--data", str(data), "--out", str(out)])
+    assert rc == 2
+    assert f"error: {data}: line 2: invalid JSON (nested too deeply)" in capsys.readouterr().err
+
+
+def test_eval_rejects_a_deeply_nested_checkpoint_header(extracted, capsys):
+    _, out = extracted
+    ckpt = out / "deep.json"
+    ckpt.write_text(DEEP + "\n")
+    capsys.readouterr()
+    rc = main(["eval", "--checkpoint", str(ckpt),
+               "--data", str(out / "datasets" / "all" / "test.jsonl"), "--out", str(out)])
+    assert rc == 2
+    assert f"error: {ckpt}: not valid JSON (" in capsys.readouterr().err
 
 
 def test_eval_parse_error_names_the_sample_file(extracted, capsys):

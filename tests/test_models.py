@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fd_gradient, logreg_features, logreg_proba, max_rel_err, tape_sum
+from oracles import (CheckedTape, count_params, fd_gradient, logreg_features, logreg_proba,
+                     max_rel_err, tape_sum)
 from presup import models
 from presup import tensor as T
 from presup.checkpoint import load_checkpoint, save_checkpoint
@@ -105,14 +106,14 @@ def test_lstm_sequence_gradients():
     proj = Tensor(rng.uniform(-1, 1, (steps, s)))
 
     def loss():
-        with Tape() as tape:
+        with CheckedTape() as tape:
             H = lstm_sequence(X, W, b, True, [steps], *_each_row(X))
             out = tape_sum(T.matmul(H, proj))
         return tape, out
 
     tape, out = loss()
     grads = backward(tape, out, wrt=[X, W, b])
-    assert tape.replay()
+    assert tape.unchanged()
     for t in (X, W, b):
         fd = fd_gradient(lambda: loss()[1].item(), t.data)
         assert max_rel_err(fd, grads.wrt(t)) < 1e-6
@@ -143,10 +144,10 @@ def _manual_conv_max_pool(X, W, b, width, steps, g):
 
 
 def _conv_max_pool_grads(X, W, b, width, steps, g):
-    with Tape() as tape:
+    with CheckedTape() as tape:
         out = conv_max_pool(X, W, b, width, steps, *_each_row(X))
         loss = tape_sum(T.mul(out, Tensor(g)))
-    assert tape.replay()
+    assert tape.unchanged()
     grads = backward(tape, loss, wrt=[X, W, b])
     return out, [grads.wrt(t) for t in (X, W, b)]
 
@@ -254,7 +255,7 @@ def test_lstm_sequence_batch_gradients():
     proj = Tensor(rng.uniform(-1, 1, (X.shape[0], s)))
 
     def loss(reverse):
-        with Tape() as tape:
+        with CheckedTape() as tape:
             H = lstm_sequence(X, W, b, reverse, lengths, *_each_row(X))
             out = tape_sum(T.matmul(H, proj))
         return tape, out
@@ -262,7 +263,7 @@ def test_lstm_sequence_batch_gradients():
     for reverse in (False, True):
         tape, out = loss(reverse)
         grads = backward(tape, out, wrt=[X, W, b])
-        assert tape.replay()
+        assert tape.unchanged()
         for t in (X, W, b):
             fd = fd_gradient(lambda: loss(reverse)[1].item(), t.data)
             assert max_rel_err(fd, grads.wrt(t)) < 1e-6
@@ -332,7 +333,7 @@ def test_attention_and_pool_gradients_over_a_padded_batch():
     proj = Tensor(rng.uniform(-1, 1, (3, 6)))
 
     def loss():
-        with Tape() as tape:
+        with CheckedTape() as tape:
             alpha = attention_weights(H, lengths)[4]
             c = pool_states(H, alpha)
             out = tape_sum(T.tanh(T.matmul(proj, c)))
@@ -340,7 +341,7 @@ def test_attention_and_pool_gradients_over_a_padded_batch():
 
     tape, out = loss()
     assert len(tape) == 6  # attention and pooling are one node each
-    assert tape.replay()
+    assert tape.unchanged()
     grads = backward(tape, out, wrt=[H])
     fd = fd_gradient(lambda: loss()[1].item(), H.data)
     assert max_rel_err(fd, grads.wrt(H)) < 1e-6  # padded columns: both zero
@@ -349,7 +350,7 @@ def test_attention_and_pool_gradients_over_a_padded_batch():
 def test_wp_and_baseline_share_parameter_count():
     _, _, wp = _setup("wp")
     _, _, baseline = _setup("lstm")
-    assert wp.params.param_count() == baseline.params.param_count()
+    assert count_params(wp.params) == count_params(baseline.params)
 
 
 def test_uniform_alpha_reproduces_mean_pooling():
@@ -448,13 +449,13 @@ def test_gradients_through_a_mixed_length_batch(variant):
     coords = np.random.default_rng(7)
 
     def loss():
-        with Tape() as tape:
+        with CheckedTape() as tape:
             y_hat, _ = model.forward(batch)
             out = batch_loss(y_hat, labels)
         return tape, out
 
     tape, out = loss()
-    assert tape.replay()
+    assert tape.unchanged()
     grads = backward(tape, out, wrt=_trainables(model)).for_store(model.params)
     for name, p in model.params.items():
         probe = coords.choice(p.data.size, size=min(p.data.size, 8), replace=False)
@@ -847,7 +848,7 @@ def test_checkpoint_round_trip(variant, tmp_path):
     _assert_same_predictions(model, loaded, samples)
     if hasattr(model, "params"):
         # frozen embeddings stay frozen through the round trip
-        assert loaded.params.param_count() == model.params.param_count()
+        assert count_params(loaded.params) == count_params(model.params)
     if variant == "mfc":
         assert loaded.majority == model.majority
     save_checkpoint(tmp_path / "b.json", loaded, dataset_id="all", extra={"best_epoch": 3})

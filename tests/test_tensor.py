@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from oracles import fd_gradient, max_rel_err, tape_sum
+from oracles import CheckedTape, fd_gradient, max_rel_err, tape_sum
 from presup import tensor as T
 from presup.errors import ShapeError, UsageError
 from presup.rng import Rng
@@ -21,13 +21,13 @@ def _rand(rng, *shape):
 def _scalarize(x: Tensor) -> Tensor:
     """Reduce to a scalar with a fixed random-ish projection so gradients of
     every output entry are exercised."""
-    w = Tensor(np.cos(np.arange(x.size)).reshape(x.shape) + 0.1)
+    w = Tensor(np.cos(np.arange(x.data.size)).reshape(x.shape) + 0.1)
     return tape_sum(T.mul(x, w))
 
 
 def check_unary(op, x: Tensor, tol=TOL, **kwargs):
     def loss():
-        with Tape() as tape:
+        with CheckedTape() as tape:
             out = _scalarize(op(x, **kwargs))
         return tape, out
 
@@ -35,12 +35,12 @@ def check_unary(op, x: Tensor, tol=TOL, **kwargs):
     g = backward(tape, out, wrt=[x]).wrt(x)
     fd = fd_gradient(lambda: loss()[1].item(), x.data)
     assert max_rel_err(fd, g) < tol
-    assert tape.replay()
+    assert tape.unchanged()
 
 
 def check_binary(op, a: Tensor, b: Tensor, tol=TOL):
     def loss():
-        with Tape() as tape:
+        with CheckedTape() as tape:
             out = _scalarize(op(a, b))
         return tape, out
 
@@ -49,7 +49,7 @@ def check_binary(op, a: Tensor, b: Tensor, tol=TOL):
     for t in (a, b):
         fd = fd_gradient(lambda: loss()[1].item(), t.data)
         assert max_rel_err(fd, grads.wrt(t)) < tol
-    assert tape.replay()
+    assert tape.unchanged()
 
 
 @pytest.fixture
@@ -206,10 +206,27 @@ def test_shape_errors():
         Tensor(np.zeros((2, 2))).item()
 
 
-def test_replay_detects_mutation(rng):
+def test_checked_tape_detects_input_mutation(rng):
     x = _rand(rng, 2, 2)
-    with Tape() as tape:
+    with CheckedTape() as tape:
         T.tanh(x)
-    assert tape.replay()
+    assert tape.unchanged()
     x.data += 1.0
-    assert not tape.replay()
+    assert not tape.unchanged()
+
+
+def test_checked_tape_detects_output_mutation(rng):
+    x = _rand(rng, 2, 2)
+    with CheckedTape() as tape:
+        y = T.relu(T.tanh(x))
+    assert tape.unchanged()
+    y.data[0, 0] = np.nextafter(y.data[0, 0], np.inf)  # one ulp
+    assert not tape.unchanged()
+
+
+def test_checked_tape_holds_on_an_untouched_tape(rng):
+    a, b = _rand(rng, 3, 2), _rand(rng, 2, 4)
+    with CheckedTape() as tape:
+        out = tape_sum(T.softmax_cols(T.matmul(a, b)))
+    backward(tape, out, wrt=[a, b])
+    assert len(tape) == 4 and tape.unchanged()
