@@ -2,7 +2,7 @@
 
 A checkpoint is an envelope (format, dataset, variant) around the model's
 own ``state()``: for the neural variants the config, the vocabulary, every
-named parameter tensor and the frozen embedding matrix, so loading
+named parameter array and the frozen embedding matrix, so loading
 reproduces evaluation outputs exactly.
 
 A v3 file is one JSON header line, then a binary tail: the raw little-endian

@@ -11,6 +11,7 @@ corpus, vector file, sample file or checkpoint).
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import logging
 import sys
@@ -48,8 +49,6 @@ def cmd_extract(args) -> int:
     corpus_path = cfg.paths.get("corpus")
     if not corpus_path:
         raise UsageError("config is missing paths.corpus")
-    if not Path(corpus_path).exists():
-        raise UsageError(f"corpus path does not exist: {corpus_path}")
     out = Path(args.out)
     rng = Rng(cfg.sub_seed("extraction"))
     # no name holds the corpus, so it is freed before the encoded lines exist
@@ -207,16 +206,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# a path argument that is missing, names a directory, runs through a file
+# or is longer than the file system allows: usage errors, not failures
+BAD_PATH = (errno.ENOENT, errno.EISDIR, errno.ENOTDIR, errno.ENAMETOOLONG)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, ParseError, FileNotFoundError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except Exception as e:  # runtime failure
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+    except Exception as e:
+        if isinstance(e, (UsageError, ParseError)) or \
+                isinstance(e, OSError) and e.errno in BAD_PATH:  # its message names the path
+            print(f"error: {e}", file=sys.stderr)
+            return 2
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)  # runtime failure
         return 1
 
 

@@ -106,16 +106,13 @@ class ExtractionStats:
 
 
 def parse_corpus(stream) -> list:
-    """Parse the three-column corpus format into Documents, one line of the
-    stream at a time.
+    """Parse the three-column corpus format into Documents, one line of
+    `stream`, an iterable of lines such as an open file, at a time.
 
     Lines: ``#doc <doc_id> <section_id>``, with no tab, opens a document;
     token lines are ``token<TAB>pos<TAB>head_index``; a blank line closes
     the sentence.
     """
-    if isinstance(stream, str):
-        stream = stream.splitlines()
-
     docs: list[Document] = []
     doc: Document | None = None
     add_token = add_pos = add_head = None  # the open document's appends
@@ -302,19 +299,27 @@ def truncate_sample(sample: Sample, max_len: int) -> Sample:
     return Sample(label=sample.label, tokens=tokens, pos=pos, section=sample.section)
 
 
-def _window(doc: Document, sent_index: int, pivot_index: int,
-            cfg: ExtractionConfig, drop_global: int | None = None):
-    """Backward window around a pivot token of one sentence; drop_global
-    is a stream index to leave out. The tail after the pivot stops
+def _window_range(doc: Document, sent_index: int, pivot_index: int,
+                  cfg: ExtractionConfig) -> tuple:
+    """(g, lo, hi): the stream index of a pivot token of one sentence, and
+    the stream range [lo, hi) of its window. The tail after the pivot stops
     max_len + 1 positions past it: truncate_sample keeps at most
     max_len - 2 tail tokens of a window whose tail is longer than that, so
     the cap changes no truncated sample."""
-    tokens, pos = doc.tokens, doc.pos
     sent_start, sent_end = doc.bounds[sent_index]
     g = sent_start + pivot_index
-    start = max(0, g - cfg.window_before)
-    prefix = [i for i in range(start, g) if i != drop_global]
-    tail = [i for i in range(g + 1, min(sent_end, g + 2 + cfg.max_len)) if i != drop_global]
+    return g, max(0, g - cfg.window_before), min(sent_end, g + 2 + cfg.max_len)
+
+
+def _window(doc: Document, sent_index: int, pivot_index: int,
+            cfg: ExtractionConfig, drop_global: int | None = None):
+    """Backward window around a pivot token of one sentence, over the
+    stream range _window_range gives; drop_global is a stream index to
+    leave out."""
+    tokens, pos = doc.tokens, doc.pos
+    g, lo, hi = _window_range(doc, sent_index, pivot_index, cfg)
+    prefix = [i for i in range(lo, g) if i != drop_global]
+    tail = [i for i in range(g + 1, hi) if i != drop_global]
     out_tokens = [tokens[i] for i in prefix] + [MARKER, tokens[g]] + [tokens[i] for i in tail]
     out_pos = [pos[i] for i in prefix] + [MARKER, pos[g]] + [pos[i] for i in tail]
     return out_tokens, out_pos
@@ -330,11 +335,8 @@ def extract_positive(doc: Document, occ: Occurrence, cfg: ExtractionConfig,
     searched, so an adverb more than max_len + 1 positions past the
     governor, which no truncated sample can hold, does not count. The
     window is built only for a sample that is kept."""
-    sent_start, sent_end = doc.bounds[occ.sent_index]
-    drop = sent_start + occ.adverb_index
-    g = sent_start + occ.governor_index
-    lo = max(0, g - cfg.window_before)
-    hi = min(sent_end, g + 2 + cfg.max_len)  # the ends of _window's stream range
+    drop = doc.bounds[occ.sent_index][0] + occ.adverb_index
+    _, lo, hi = _window_range(doc, occ.sent_index, occ.governor_index, cfg)
     tokens = doc.tokens
     if not (forms.isdisjoint(tokens[lo:min(drop, hi)])
             and forms.isdisjoint(tokens[max(lo, drop + 1):hi])):

@@ -21,7 +21,6 @@ from .errors import ShapeError, UsageError
 from .extraction import Sample, sample_target
 from .optim import ParamStore
 from .rng import Rng, dropout_mask
-from .tensor import Tensor
 from .vocab import Vocab
 
 INIT_SCALE = 0.08  # uniform init range for recurrent and dense weights
@@ -74,14 +73,14 @@ def embed_sequence(batch: list, vocab: Vocab, embeddings: np.ndarray,
     concatenated with a POS feature (one-hot or learned 40-dim embedding):
     row b*T + t is token t of sample b. Padded rows use id 0 of each table.
     Rows with the same token id (and POS id, when POS is used) are equal, and
-    so are all padded rows: X.data[first] holds each distinct row once, at
-    its first occurrence, and X.data[first][index] equals X.data."""
+    so are all padded rows: X[first] holds each distinct row once, at its
+    first occurrence, and X[first][index] equals X."""
     steps = steps or max(len(s.tokens) for s in batch)
     ids = np.zeros((len(batch), steps), dtype=np.intp)
     key = np.full((len(batch), steps), -1, dtype=np.intp)  # padded steps share -1
     for row, keys, sample in zip(ids, key, batch):
         row[:len(sample.tokens)] = keys[:len(sample.tokens)] = vocab.token_ids(sample.tokens)
-    words = Tensor(embeddings[ids.reshape(-1)])
+    words = embeddings[ids.reshape(-1)]
     if cfg.pos_mode == "off":
         return (words, *_distinct_rows(key))
     pos_ids = np.zeros((len(batch), steps), dtype=np.intp)
@@ -92,7 +91,7 @@ def embed_sequence(batch: list, vocab: Vocab, embeddings: np.ndarray,
     if cfg.pos_mode == "one_hot":
         onehot = np.zeros((len(pos_ids), len(vocab.pos_tags)))
         onehot[np.arange(len(pos_ids)), pos_ids] = 1.0
-        return Tensor(np.hstack([words.data, onehot])), first, index
+        return np.hstack([words, onehot]), first, index
     # learned POS embedding rows go through the tape so they receive gradient
     pos_part = T.gather_rows(params["pos_embedding"], pos_ids)
     return T.concat([words, pos_part], axis=1), first, index
@@ -119,8 +118,8 @@ def input_width(cfg: ModelConfig, vocab: Vocab) -> int:
     return cfg.embed_dim + cfg.pos_dim
 
 
-def lstm_sequence(X: Tensor, W: Tensor, b: Tensor, reverse: bool,
-                  lengths, first, index) -> Tensor:
+def lstm_sequence(X: np.ndarray, W: np.ndarray, b: np.ndarray, reverse: bool,
+                  lengths, first, index) -> np.ndarray:
     """Run one LSTM direction over a padded batch as a single fused tape
     node. X is (B*T, n), row b*T + t = step t of sample b; lengths holds
     each sample's real steps. first and index are embed_sequence's
@@ -145,8 +144,8 @@ def lstm_sequence(X: Tensor, W: Tensor, b: Tensor, reverse: bool,
     B = len(lengths)
     real = np.arange(steps) < lengths[:, None]  # (B, T)
     order = range(steps - 1, -1, -1) if reverse else range(steps)
-    W_x, W_h = W.data[:, :n], W.data[:, n:]
-    proj = (X.data[first] @ W_x.T + b.data.T)[index].reshape(B, steps, 4 * s)
+    W_x, W_h = W[:, :n], W[:, n:]
+    proj = (X[first] @ W_x.T + b.T)[index].reshape(B, steps, 4 * s)
     out = np.zeros((steps, B, s))
     h_prev = np.zeros((B, steps, s))
     cache = []
@@ -193,14 +192,14 @@ def lstm_sequence(X: Tensor, W: Tensor, b: Tensor, reverse: bool,
                 dh = da @ W_h
                 dc = dc_t * f
         d_a = d_a.reshape(rows, 4 * s)
-        d_W = np.hstack([d_a.T @ X.data, d_a.T @ h_prev.reshape(rows, s)])
+        d_W = np.hstack([d_a.T @ X, d_a.T @ h_prev.reshape(rows, s)])
         return d_a @ W_x if needs[0] else None, d_W, d_a.sum(axis=0)[:, None]
 
-    return T._record(Tensor(out.transpose(2, 1, 0).reshape(s, rows)), (X, W, b), vjp)
+    return T._record(out.transpose(2, 1, 0).reshape(s, rows), (X, W, b), vjp)
 
 
-def conv_max_pool(X: Tensor, W: Tensor, b: Tensor, width: int, steps: int,
-                  first, index) -> Tensor:
+def conv_max_pool(X: np.ndarray, W: np.ndarray, b: np.ndarray, width: int, steps: int,
+                  first, index) -> np.ndarray:
     """Convolution, bias, relu and max-over-time pooling of a padded batch
     as one fused tape node. X is (B*steps, n), row b*steps + t = step t of
     sample b; W is (width*n, maps) and b is (1, maps). first and index are
@@ -225,12 +224,12 @@ def conv_max_pool(X: Tensor, W: Tensor, b: Tensor, width: int, steps: int,
                          f"{steps} rows, with W {W.shape} and b {b.shape}")
     _check_row_index(index, rows)
     index = index.reshape(B, steps)
-    by_shift = W.data.reshape(width, n, maps).transpose(1, 0, 2).reshape(n, width * maps)
-    P = (X.data[first] @ by_shift).reshape(-1, width, maps)
+    by_shift = W.reshape(width, n, maps).transpose(1, 0, 2).reshape(n, width * maps)
+    P = (X[first] @ by_shift).reshape(-1, width, maps)
     acc = P[index[:, 0:m], 0]
     for j in range(1, width):
         acc += P[index[:, j:j + m], j]
-    acc += b.data
+    acc += b
     win = acc.argmax(axis=1)  # (B, maps): the first window at each maximum
     top = np.take_along_axis(acc, win[:, None], axis=1)[:, 0]
     positive = top.T > 0.0
@@ -240,22 +239,22 @@ def conv_max_pool(X: Tensor, W: Tensor, b: Tensor, width: int, steps: int,
     def vjp(g, needs):
         import scipy.sparse  # here, so that commands without a CNN backward never load scipy
         g = np.where(positive, g, 0.0)
-        d_X = np.zeros_like(X.data) if needs[0] else None
-        d_W = np.empty_like(W.data) if needs[1] else None
+        d_X = np.zeros_like(X) if needs[0] else None
+        d_W = np.empty_like(W) if needs[1] else None
         for j in range(width):
             # row k picks row j of map k's winning window in every sample
             pick = scipy.sparse.csr_matrix((g.ravel(), (starts + j).ravel(), indptr),
                                            shape=(maps, rows))
             if needs[1]:
-                d_W[j * n:(j + 1) * n] = (pick @ X.data).T
+                d_W[j * n:(j + 1) * n] = (pick @ X).T
             if needs[0]:
-                d_X += pick.T @ W.data[j * n:(j + 1) * n].T
+                d_X += pick.T @ W[j * n:(j + 1) * n].T
         return d_X, d_W, g.sum(axis=1)[None, :]
 
-    return T._record(Tensor(np.maximum(top, 0.0).T.copy()), (X, W, b), vjp)
+    return T._record(np.maximum(top, 0.0).T.copy(), (X, W, b), vjp)
 
 
-def attention_weights(H: Tensor, lengths):
+def attention_weights(H: np.ndarray, lengths):
     """Attention-over-attention on the Gram matrix of each sample's hidden
     states, as one fused tape node over the (B, T, T) stack.
 
@@ -276,7 +275,7 @@ def attention_weights(H: Tensor, lengths):
     B = len(lengths)
     real = np.arange(steps) < lengths[:, None]
     pair = real[:, :, None] & real[:, None, :]
-    states = H.data.reshape(width, B, steps).transpose(1, 2, 0)  # (B, T, 2s)
+    states = H.reshape(width, B, steps).transpose(1, 2, 0)  # (B, T, 2s)
     M = states @ states.transpose(0, 2, 1)
     scores = np.where(pair, M, -np.inf)
     M_row = T._softmax(scores, 2)
@@ -297,39 +296,39 @@ def attention_weights(H: Tensor, lengths):
         d_states = (d_M + d_M.transpose(0, 2, 1)) @ states
         return (d_states.transpose(2, 0, 1).reshape(width, cols),)
 
-    out = T._record(Tensor(alpha.T.copy()), (H,), vjp)
-    return Tensor(M), Tensor(M_row), Tensor(M_col), Tensor(beta.T.copy()), out
+    out = T._record(alpha.T.copy(), (H,), vjp)
+    return M, M_row, M_col, beta.T.copy(), out
 
 
-def pool_states(H: Tensor, alpha: Tensor) -> Tensor:
+def pool_states(H: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """c_b = sum_t alpha[t, b] h_{b*T+t} for every sample b, as one fused
     tape node: H is (2s, B*T), alpha is (T, B) and c is (2s, B)."""
     width, cols = H.shape
     steps, B = alpha.shape
     if steps * B != cols:
         raise ShapeError(f"pool_states: weights {alpha.shape} over states {H.shape}")
-    states = H.data.reshape(width, B, steps).transpose(1, 0, 2)  # (B, 2s, T)
-    c = (states @ alpha.data.T[:, :, None])[:, :, 0].T.copy()
+    states = H.reshape(width, B, steps).transpose(1, 0, 2)  # (B, 2s, T)
+    c = (states @ alpha.T[:, :, None])[:, :, 0].T.copy()
 
     def vjp(g, needs):
-        d_H = g[:, :, None] * alpha.data.T[None, :, :]
+        d_H = g[:, :, None] * alpha.T[None, :, :]
         d_alpha = (states.transpose(0, 2, 1) @ g.T[:, :, None])[:, :, 0].T \
             if needs[1] else None  # fixed weights (mean pooling) need none
         return d_H.reshape(width, cols), d_alpha
 
-    return T._record(Tensor(c), (H, alpha), vjp)
+    return T._record(c, (H, alpha), vjp)
 
 
 def _activation(name: str):
     return {"relu": T.relu, "tanh": T.tanh}[name]
 
 
-def _dropout(z: Tensor, rng: Rng | None, p: float) -> Tensor:
-    """Inverted dropout of a (d, B) tensor if an Rng is given (training). One
+def _dropout(z: np.ndarray, rng: Rng | None, p: float) -> np.ndarray:
+    """Inverted dropout of a (d, B) array if an Rng is given (training). One
     (B, d) draw: row b is the (d, 1) mask sample b would draw on its own."""
     if rng is None or p == 0.0:
         return z
-    return T.mul(z, Tensor(dropout_mask(z.shape[::-1], p, rng).T))
+    return T.mul(z, dropout_mask(z.shape[::-1], p, rng).T)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +388,7 @@ class NeuralModel:
         for name, shape in self.param_shapes().items():
             value = np.zeros(shape) if name.endswith("_b") else \
                 rng.uniform(-INIT_SCALE, INIT_SCALE, shape)
-            self.params.add(name, Tensor(value))
+            self.params.add(name, value)
 
     def _lengths(self, batch: list) -> np.ndarray:
         """Token count of every sample of the batch. A sample longer than
@@ -409,7 +408,7 @@ class NeuralModel:
         for start in range(0, len(order), EVAL_CHUNK):
             chunk = order[start:start + EVAL_CHUNK]
             y_hat, _ = self.forward([samples[k] for k in chunk])
-            for k, label in zip(chunk, np.argmax(y_hat.data, axis=0)):
+            for k, label in zip(chunk, np.argmax(y_hat, axis=0)):
                 labels[k] = int(label)
         return labels
 
@@ -419,7 +418,7 @@ class NeuralModel:
             "config": encode(self.cfg),
             "vocab": {"tokens": self.vocab.tokens, "pos_tags": self.vocab.pos_tags},
             "embeddings": self.embeddings,
-            "params": {name: t.data for name, t in self.params.items()},
+            "params": dict(self.params.items()),
         }
 
     @classmethod
@@ -440,7 +439,7 @@ class NeuralModel:
             if value.shape != shape:
                 raise UsageError(f"field {field!r}: shape {value.shape}, but the config "
                                  f"and vocabulary call for {shape}")
-            model.params.add(name, Tensor(value))
+            model.params.add(name, value)
         unknown = sorted(name for name in _field(doc, "params") if name not in model.params)
         if unknown:
             raise UsageError(f"field 'params.{unknown[0]}': not a {cls.variant} parameter")
@@ -476,11 +475,11 @@ class RecurrentClassifier(NeuralModel):
         super().init_params(rng)
         s = self.cfg.hidden_size
         for direction in ("fwd", "bwd"):
-            self.params[f"lstm_{direction}_b"].data[s:2 * s] = 1.0  # forget gates
+            self.params[f"lstm_{direction}_b"][s:2 * s] = 1.0  # forget gates
 
     def forward(self, batch: list, rng: Rng | None = None, dropout_p: float = 0.5,
                 alpha_override: np.ndarray | None = None, return_trace: bool = False):
-        """Class probabilities of a list of samples as a (2, B) tensor, one
+        """Class probabilities of a list of samples as a (2, B) array, one
         column per sample. Given an Rng this is a training pass, whose
         dropout of rate dropout_p draws its masks from it; without one it
         scores, with no dropout. alpha_override holds (T, B) pooling
@@ -496,12 +495,12 @@ class RecurrentClassifier(NeuralModel):
                      axis=0)
         trace_parts = None
         if alpha_override is not None:
-            alpha = Tensor(np.asarray(alpha_override).reshape(steps, len(batch)))
+            alpha = np.asarray(alpha_override, dtype=np.float64).reshape(steps, len(batch))
         elif self.pooling == "attention":
             M, M_row, M_col, beta, alpha = attention_weights(H, lengths)
-            trace_parts = (M.data[0], M_row.data[0], M_col.data[0], beta.data)
+            trace_parts = (M[0], M_row[0], M_col[0], beta)
         else:
-            alpha = Tensor((np.arange(steps)[:, None] < lengths) / lengths)
+            alpha = (np.arange(steps)[:, None] < lengths) / lengths
         c = pool_states(H, alpha)
         z = _activation(cfg.activation)(T.add(T.matmul(p["dense_W"], c), p["dense_b"]))
         z = _dropout(z, rng, dropout_p)
@@ -514,9 +513,9 @@ class RecurrentClassifier(NeuralModel):
             trace_parts = (m, m, m, np.full((steps, 1), np.nan))
         M, M_row, M_col, beta = trace_parts
         trace = ForwardTrace(
-            X=X.data.copy(), H=H.data.copy(), M=M.copy(), M_row=M_row.copy(),
-            M_col=M_col.copy(), beta=beta.copy(), alpha=alpha.data.copy(),
-            c=c.data.copy(), z=z.data.copy(), y_hat=y_hat.data.copy())
+            X=X.copy(), H=H.copy(), M=M.copy(), M_row=M_row.copy(),
+            M_col=M_col.copy(), beta=beta.copy(), alpha=alpha.copy(),
+            c=c.copy(), z=z.copy(), y_hat=y_hat.copy())
         return y_hat, trace
 
     def predict_label(self, sample: Sample) -> int:
@@ -552,7 +551,7 @@ class CnnModel(NeuralModel):
         return shapes
 
     def forward(self, batch: list, rng: Rng | None = None, dropout_p: float = 0.5):
-        """Class probabilities of a list of samples as a (2, B) tensor, one
+        """Class probabilities of a list of samples as a (2, B) array, one
         column per sample; an Rng means training, as for WP. Every sample is
         padded to max_len with zero rows, and each width is one
         conv_max_pool node over the whole batch."""
@@ -562,7 +561,7 @@ class CnnModel(NeuralModel):
                                          steps=cfg.max_len)
         real = np.arange(cfg.max_len) < lengths[:, None]
         # padded rows hold id 0, not zeros; they share one distinct row, now zero
-        X = T.mul(X, Tensor(real.reshape(-1, 1)))
+        X = T.mul(X, real.reshape(-1, 1).astype(np.float64))
         feat = T.concat([conv_max_pool(X, p[f"conv{w}_W"], p[f"conv{w}_b"], w, cfg.max_len,
                                        first, index)
                          for w in cfg.cnn_widths], axis=0)
@@ -590,6 +589,11 @@ def logreg_featurize(sample: Sample, use_pos: bool) -> Counter:
         feats.update(pos)
         feats.update(map(BIGRAM_JOIN.join, zip(pos, sample.pos[1:])))  # "P:a▁b"
     return feats
+
+
+def _logistic(scores: np.ndarray) -> np.ndarray:
+    """LogReg's P(label 1) for each score, clipped to [-500, 500] before exp."""
+    return 1.0 / (1.0 + np.exp(-np.clip(scores, -500, 500)))
 
 
 class LogRegModel:
@@ -634,9 +638,7 @@ class LogRegModel:
         self.w = np.zeros(len(self.feature_index))
         self.b = 0.0
         for _ in range(self.cfg.logreg_epochs):
-            scores = X @ self.w + self.b
-            p = 1.0 / (1.0 + np.exp(-np.clip(scores, -500, 500)))
-            err = p - y
+            err = _logistic(X @ self.w + self.b) - y
             grad_w = (XT @ err) / n + self.cfg.logreg_l2 * self.w
             grad_b = err.mean()
             self.w -= self.cfg.logreg_lr * grad_w
@@ -657,8 +659,7 @@ class LogRegModel:
                 if idx is not None:
                     score += w[idx] * count
             scores.append(score)
-        p = 1.0 / (1.0 + np.exp(-np.clip(np.array(scores), -500, 500)))
-        return (p >= 0.5).astype(int).tolist()
+        return (_logistic(np.array(scores)) >= 0.5).astype(int).tolist()
 
     def predict_label(self, sample: Sample) -> int:
         return self.predict_labels([sample])[0]

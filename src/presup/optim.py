@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import UsageError
-from .tensor import Tensor
 
 # Adam's moment decay rates and denominator guard
 BETA1 = 0.9
@@ -14,44 +13,44 @@ EPS = 1e-8
 
 
 class ParamStore:
-    """Named trainable parameter tensors. Iteration is always sorted by
-    name, so runs are reproducible."""
+    """Named trainable float64 parameter arrays, updated in place. Iteration
+    is always sorted by name, so runs are reproducible."""
 
     def __init__(self):
-        self._tensors: dict[str, Tensor] = {}
+        self._arrays: dict[str, np.ndarray] = {}
 
-    def add(self, name: str, tensor: Tensor) -> Tensor:
-        if name in self._tensors:
+    def add(self, name: str, value: np.ndarray) -> np.ndarray:
+        if name in self._arrays:
             raise UsageError(f"duplicate parameter name {name!r}")
-        self._tensors[name] = tensor
-        return tensor
+        self._arrays[name] = value
+        return value
 
-    def __getitem__(self, name: str) -> Tensor:
-        return self._tensors[name]
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._arrays[name]
 
     def __contains__(self, name: str) -> bool:
-        return name in self._tensors
+        return name in self._arrays
 
     def __len__(self) -> int:
-        return len(self._tensors)
+        return len(self._arrays)
 
     def names(self):
-        return sorted(self._tensors)
+        return sorted(self._arrays)
 
     def items(self):
         for name in self.names():
-            yield name, self._tensors[name]
+            yield name, self._arrays[name]
 
     def copy_values(self) -> dict:
-        return {name: t.data.copy() for name, t in self.items()}
+        return {name: t.copy() for name, t in self.items()}
 
     def load_values(self, values: dict) -> None:
         for name, arr in values.items():
-            t = self._tensors[name]
+            t = self._arrays[name]
             if t.shape != np.shape(arr):
                 raise UsageError(
                     f"parameter {name!r}: shape {np.shape(arr)} != {t.shape}")
-            t.data[...] = arr
+            t[...] = arr
 
 
 class AdamState:
@@ -60,8 +59,8 @@ class AdamState:
     def __init__(self, store: ParamStore, lr: float):
         self.lr = lr
         self.t = 0
-        self.m = {name: np.zeros_like(t.data) for name, t in store.items()}
-        self.v = {name: np.zeros_like(t.data) for name, t in store.items()}
+        self.m = {name: np.zeros_like(t) for name, t in store.items()}
+        self.v = {name: np.zeros_like(t) for name, t in store.items()}
 
 
 def clip_gradients(grads: dict, lo: float, hi: float) -> dict:
@@ -76,7 +75,7 @@ def adam_step(store: ParamStore, grads: dict, state: AdamState) -> None:
     state.t += 1
     bc1 = 1.0 - BETA1 ** state.t
     bc2 = 1.0 - BETA2 ** state.t
-    for name, tensor in store.items():
+    for name, param in store.items():
         if name not in grads:
             raise UsageError(f"missing gradient for parameter {name!r}")
         g = grads[name]
@@ -88,4 +87,4 @@ def adam_step(store: ParamStore, grads: dict, state: AdamState) -> None:
         v += (1.0 - BETA2) * g * g
         m_hat = m / bc1
         v_hat = v / bc2
-        tensor.data -= state.lr * m_hat / (np.sqrt(v_hat) + EPS)
+        param -= state.lr * m_hat / (np.sqrt(v_hat) + EPS)

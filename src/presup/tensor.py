@@ -1,10 +1,17 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Reverse-mode automatic differentiation over float64 numpy arrays.
 
-Every operation is a module-level function. When a :class:`Tape` is active
-(entered as a context manager), each op appends a node holding the output,
-the input tensors and a vector-Jacobian product ``vjp(g, needs)``, where
-``needs[i]`` says whether input i needs a gradient. :func:`backward` walks the
-tape in reverse, visiting each node once.
+Every operation is a module-level function that takes and returns plain
+``np.ndarray``s. When a :class:`Tape` is active (entered as a context
+manager), each op appends a node holding its output array, its input arrays
+and a vector-Jacobian product ``vjp(g, needs)``, where ``needs[i]`` says
+whether input i needs a gradient. :func:`backward` walks the tape in reverse,
+visiting each node once.
+
+The graph is keyed on array identity (``id()`` and ``is``), never on values,
+so every op returns a fresh array object. An array may be written in place
+only between tapes (the optimizer does this), never while a tape that
+recorded it is still to be walked. Callers pass float64 arrays; an op does
+not cast.
 
 Shapes are plain numpy shapes; model code keeps everything 2-D and represents
 vectors as single-column matrices.
@@ -17,28 +24,6 @@ import numpy as np
 from .errors import ShapeError, UsageError
 
 _TAPE_STACK: list["Tape"] = []
-
-
-class Tensor:
-    """A dense float64 array. Data may be mutated in place only between
-    tapes (the optimizer does this); never during a recorded forward pass."""
-
-    __slots__ = ("data",)
-
-    def __init__(self, data):
-        self.data = np.asarray(data, dtype=np.float64)
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def item(self):
-        if self.data.size != 1:
-            raise UsageError(f"item() on tensor of shape {self.data.shape}")
-        return float(self.data.reshape(-1)[0])
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape})"
 
 
 class _Node:
@@ -89,12 +74,11 @@ def _unbroadcast(grad, shape):
 # primitives
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} @ {b.shape}")
-    out = Tensor(a.data @ b.data)
-    return _record(out, (a, b), lambda g, needs: (g @ b.data.T if needs[0] else None,
-                                                  a.data.T @ g if needs[1] else None))
+    return _record(a @ b, (a, b), lambda g, needs: (g @ b.T if needs[0] else None,
+                                                    a.T @ g if needs[1] else None))
 
 
 def _binary(a, b, fn, name):
@@ -102,24 +86,24 @@ def _binary(a, b, fn, name):
         np.broadcast_shapes(a.shape, b.shape)
     except ValueError:
         raise ShapeError(f"{name}: incompatible shapes {a.shape}, {b.shape}") from None
-    return Tensor(fn(a.data, b.data))
+    return fn(a, b)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
+def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = _binary(a, b, np.add, "add")
     return _record(out, (a, b), lambda g, _: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
+def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = _binary(a, b, np.multiply, "mul")
     return _record(out, (a, b),
-                   lambda g, needs: (_unbroadcast(g * b.data, a.shape) if needs[0] else None,
-                                     _unbroadcast(g * a.data, b.shape) if needs[1] else None))
+                   lambda g, needs: (_unbroadcast(g * b, a.shape) if needs[0] else None,
+                                     _unbroadcast(g * a, b.shape) if needs[1] else None))
 
 
-def tanh(x: Tensor) -> Tensor:
-    out = Tensor(np.tanh(x.data))
-    return _record(out, (x,), lambda g, _: (g * (1.0 - out.data ** 2),))
+def tanh(x: np.ndarray) -> np.ndarray:
+    out = np.tanh(x)
+    return _record(out, (x,), lambda g, _: (g * (1.0 - out ** 2),))
 
 
 def _sigmoid(a):
@@ -140,55 +124,52 @@ def _softmax(a: np.ndarray, axis: int) -> np.ndarray:
     return e / total
 
 
-def relu(x: Tensor) -> Tensor:
-    out = Tensor(np.maximum(x.data, 0.0))
-    return _record(out, (x,), lambda g, _: (g * (x.data > 0.0),))
+def relu(x: np.ndarray) -> np.ndarray:
+    return _record(np.maximum(x, 0.0), (x,), lambda g, _: (g * (x > 0.0),))
 
 
-def concat(tensors, axis: int) -> Tensor:
-    tensors = list(tensors)
-    if not tensors:
-        raise UsageError("concat of zero tensors")
-    ndim = tensors[0].data.ndim
-    for t in tensors[1:]:
-        if t.data.ndim != ndim:
+def concat(arrays, axis: int) -> np.ndarray:
+    arrays = list(arrays)
+    if not arrays:
+        raise UsageError("concat of zero arrays")
+    ndim = arrays[0].ndim
+    for t in arrays[1:]:
+        if t.ndim != ndim:
             raise ShapeError(
-                f"concat: rank mismatch {[t.shape for t in tensors]}")
+                f"concat: rank mismatch {[t.shape for t in arrays]}")
         for ax in range(ndim):
-            if ax != axis % ndim and t.shape[ax] != tensors[0].shape[ax]:
+            if ax != axis % ndim and t.shape[ax] != arrays[0].shape[ax]:
                 raise ShapeError(
-                    f"concat: incompatible shapes {[t.shape for t in tensors]} on axis {axis}")
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-    sizes = [t.shape[axis % ndim] for t in tensors]
+                    f"concat: incompatible shapes {[t.shape for t in arrays]} on axis {axis}")
+    out = np.concatenate(arrays, axis=axis)
+    sizes = [t.shape[axis % ndim] for t in arrays]
     splits = np.cumsum(sizes)[:-1]
 
     def vjp(g, _):
         return tuple(np.split(g, splits, axis=axis))
 
-    return _record(out, tuple(tensors), vjp)
+    return _record(out, tuple(arrays), vjp)
 
 
-def gather_rows(table: Tensor, indices) -> Tensor:
+def gather_rows(table: np.ndarray, indices) -> np.ndarray:
     idx = np.asarray(indices, dtype=np.intp)
-    out = Tensor(table.data[idx])
 
     def vjp(g, _):
-        z = np.zeros_like(table.data)
+        z = np.zeros_like(table)
         np.add.at(z, idx, g)
         return (z,)
 
-    return _record(out, (table,), vjp)
+    return _record(table[idx], (table,), vjp)
 
 
-def softmax_cols(x: Tensor) -> Tensor:
+def softmax_cols(x: np.ndarray) -> np.ndarray:
     """Numerically stabilized softmax; each column becomes a probability
     distribution."""
-    out = Tensor(_softmax(x.data, 0))
+    out = _softmax(x, 0)
 
     def vjp(g, _):
-        s = out.data
-        dot = (g * s).sum(axis=0, keepdims=True)
-        return (s * (g - dot),)
+        dot = (g * out).sum(axis=0, keepdims=True)
+        return (out * (g - dot),)
 
     return _record(out, (x,), vjp)
 
@@ -198,35 +179,36 @@ def softmax_cols(x: Tensor) -> Tensor:
 
 
 class Gradients:
-    """Gradient lookup keyed by tensor identity for the tensors backward()
-    was asked for; an unreached one reads as zero. Reading a tensor outside
+    """Gradient lookup keyed by array identity for the arrays backward()
+    was asked for; an unreached one reads as zero. Reading an array outside
     them is a UsageError: its gradient was never computed."""
 
     def __init__(self, by_id, wanted):
         self._by_id = by_id
         self._wanted = wanted
 
-    def wrt(self, t: Tensor) -> np.ndarray:
+    def wrt(self, t: np.ndarray) -> np.ndarray:
         if id(t) not in self._wanted:
-            raise UsageError(f"gradient of {t!r} was not requested from backward()")
+            raise UsageError(f"gradient of an array of shape {t.shape} "
+                             "was not requested from backward()")
         g = self._by_id.get(id(t))
-        return np.zeros_like(t.data) if g is None else g
+        return np.zeros_like(t) if g is None else g
 
     def for_store(self, store) -> dict:
         """Gradients keyed like the ParamStore's entries."""
         return {name: self.wrt(t) for name, t in store.items()}
 
 
-def backward(tape: Tape, loss: Tensor, wrt) -> Gradients:
+def backward(tape: Tape, loss: np.ndarray, wrt) -> Gradients:
     """Exact reverse-mode gradients of a scalar loss recorded on `tape`
-    towards `wrt`, a collection of tensors.
+    towards `wrt`, a collection of arrays.
 
-    One forward sweep marks the tensors that depend on those in `wrt`; the
+    One forward sweep marks the arrays that depend on those in `wrt`; the
     reverse walk skips unmarked nodes and calls each VJP as vjp(g, needs),
     needs[i] telling whether input i is marked, so that a VJP may return
     None for the others.
     """
-    if loss.data.size != 1:
+    if loss.size != 1:
         raise UsageError(f"backward: loss must be scalar, got shape {loss.shape}")
     if not any(n.out is loss for n in tape.nodes):
         raise UsageError("backward: loss was not produced on this tape")
@@ -238,7 +220,7 @@ def backward(tape: Tape, loss: Tensor, wrt) -> Gradients:
         if any(needs):
             marked.add(id(node.out))
         needs_of.append(needs)
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss)}
     for node, needs in zip(reversed(tape.nodes), reversed(needs_of)):
         g_out = grads.get(id(node.out))
         if g_out is None or not any(needs):

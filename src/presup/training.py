@@ -16,7 +16,7 @@ from .extraction import sample_target
 from .metrics import ConfusionMatrix, confusion
 from .optim import AdamState, adam_step, clip_gradients
 from .rng import Rng
-from .tensor import Tape, Tensor, backward
+from .tensor import Tape, backward
 
 logger = logging.getLogger(__name__)
 
@@ -54,15 +54,15 @@ class EvalReport:
         }
 
 
-def batch_loss(probs, labels) -> Tensor:
+def batch_loss(probs: np.ndarray, labels) -> np.ndarray:
     """Mean negative log-likelihood of the true labels over the batch, as
     one tape node.
 
-    probs is a (2, B) probability tensor, one column per sample.
+    probs is a (2, B) probability array, one column per sample.
     Probabilities below 1e-12 are clamped before the log (and logged as a
     warning); a clamped entry gets zero gradient.
     """
-    if probs.data.ndim != 2 or probs.shape[0] != 2:
+    if probs.ndim != 2 or probs.shape[0] != 2:
         raise ShapeError(f"batch_loss: probabilities of shape {probs.shape}, not (2, B)")
     if probs.shape[1] != len(labels):
         raise UsageError(f"batch size mismatch: {probs.shape[1]} vs {len(labels)}")
@@ -73,21 +73,21 @@ def batch_loss(probs, labels) -> Tensor:
             raise UsageError(f"label must be 0 or 1, got {y!r}")
     scale = 1.0 / len(labels)
     where = (np.array(labels), np.arange(len(labels)))
-    nll = -np.log(np.maximum(probs.data[where], LOG_FLOOR))
+    nll = -np.log(np.maximum(probs[where], LOG_FLOOR))
     total = nll[0]
     for value in nll[1:]:  # left to right, not pairwise
         total += value
-    clamped = int(np.sum(probs.data[where] < LOG_FLOOR))
+    clamped = int(np.sum(probs[where] < LOG_FLOOR))
     if clamped:
         logger.warning("batch_loss: %d probabilities clamped to %g", clamped, LOG_FLOOR)
 
     def vjp(g, _):
-        p = probs.data[where]
-        d_probs = np.zeros_like(probs.data)
+        p = probs[where]
+        d_probs = np.zeros_like(probs)
         d_probs[where] = -(g[0, 0] * scale) / np.maximum(p, LOG_FLOOR) * (p > LOG_FLOOR)
         return (d_probs,)
 
-    return T._record(Tensor(np.array([[total * scale]])), (probs,), vjp)
+    return T._record(np.array([[total * scale]]), (probs,), vjp)
 
 
 def evaluate(model, data, model_id: str = "", dataset_id: str = "") -> EvalReport:

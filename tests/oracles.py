@@ -85,29 +85,45 @@ def logreg_proba(model, sample) -> np.ndarray:
     return np.array([1.0 - p, p])
 
 
-def tape_sum(x: T.Tensor) -> T.Tensor:
-    """Sum of every entry of x as a (1, 1) tensor, recorded on the active
+def tape_sum(x: np.ndarray) -> np.ndarray:
+    """Sum of every entry of x as a (1, 1) array, recorded on the active
     tape (ones-vector products), for turning any output into a loss."""
     rows, cols = x.shape
-    return T.matmul(T.matmul(T.Tensor(np.ones((1, rows))), x),
-                    T.Tensor(np.ones((cols, 1))))
+    return T.matmul(T.matmul(np.ones((1, rows)), x), np.ones((cols, 1)))
 
 
 def count_params(store) -> int:
     """Number of scalar parameters in a ParamStore."""
-    return sum(t.data.size for _, t in store.items())
+    return sum(t.size for _, t in store.items())
+
+
+def _is_float64_array(t) -> bool:
+    return type(t) is np.ndarray and t.dtype == np.float64
+
+
+def _kind(t) -> str:
+    return str(t.dtype) if isinstance(t, np.ndarray) else type(t).__name__
 
 
 class _CopyOnAppend(list):
-    """The node list of a CheckedTape: appending a node also snapshots the
-    arrays of its inputs and its output."""
+    """The node list of a CheckedTape. Appending a node asserts that its
+    inputs and output are float64 arrays and that the output is a fresh
+    object: neither one of its inputs nor an earlier node's output (the
+    graph is keyed on identity). It also snapshots every one of them."""
 
     def __init__(self, snapshots):
         super().__init__()
         self.snapshots = snapshots
+        self.out_ids = set()
 
     def append(self, node):
-        self.snapshots.append(([t.data.copy() for t in node.inputs], node.out.data.copy()))
+        out = node.out
+        assert _is_float64_array(out) and all(map(_is_float64_array, node.inputs)), \
+            f"tape values must be float64 arrays, got {[_kind(t) for t in node.inputs]} -> {_kind(out)}"
+        assert all(out is not t for t in node.inputs), "tape output is one of its inputs"
+        assert id(out) not in self.out_ids, "tape output was already recorded"
+        self.out_ids.add(id(out))
+        self.snapshots.append(([t.copy() for t in node.inputs], node.out.copy()))
         super().append(node)
 
 
@@ -128,8 +144,8 @@ class CheckedTape(T.Tape):
         self.nodes = _CopyOnAppend(self.snapshots)
 
     def unchanged(self) -> bool:
-        return all(all(_same_bits(t.data, a) for t, a in zip(node.inputs, ins))
-                   and _same_bits(node.out.data, out)
+        return all(all(_same_bits(t, a) for t, a in zip(node.inputs, ins))
+                   and _same_bits(node.out, out)
                    for node, (ins, out) in zip(self.nodes, self.snapshots))
 
 
@@ -138,8 +154,6 @@ def parse_corpus_reference(stream) -> list:
     line: strip the line break, then header, blank line, token line before
     any header, field count, empty field and head integer, in that order.
     A closed sentence's heads are checked one by one."""
-    if isinstance(stream, str):
-        stream = stream.splitlines()
     docs, doc, lineno = [], None, 0
 
     def close():

@@ -22,7 +22,7 @@ from presup.extraction import MARKER, Sample
 from presup.metrics import ConfusionMatrix, ContingencyTable, mcnemar
 from presup.models import LstmBaselineModel, MfcModel, WPModel, attention_weights
 from presup.rng import Rng
-from presup.tensor import Tape, Tensor, backward
+from presup.tensor import Tape, backward
 from presup.training import batch_loss, evaluate, sample_target, train
 from presup.vocab import PAD, UNK, Vocab
 
@@ -85,9 +85,9 @@ def test_gradients_match_finite_differences_on_random_instances():
             return batch_loss(y, [target]).item()
 
         for name, p in model.params.items():
-            n_probe = min(p.data.size, 6)
-            coords = coord_rng.choice(p.data.size, size=n_probe, replace=False)
-            fd = fd_gradient(loss_value, p.data, eps=1e-5, coords=coords)
+            n_probe = min(p.size, 6)
+            coords = coord_rng.choice(p.size, size=n_probe, replace=False)
+            fd = fd_gradient(loss_value, p, eps=1e-5, coords=coords)
             worst = max(worst, max_rel_err(fd, grads[name]))
         cases += 1
     elapsed = time.monotonic() - start
@@ -105,26 +105,26 @@ def test_attention_invariants_hold_over_random_forwards():
     for _ in range(1000):
         steps = int(rng.integers(1, 61))
         s = int(rng.integers(1, 9))
-        H = Tensor(rng.normal(0.0, 1.0, (2 * s, steps)))
+        H = rng.normal(0.0, 1.0, (2 * s, steps))
         M, M_row, M_col, beta, alpha = attention_weights(H, [steps])
-        np.testing.assert_allclose(M_row.data[0].sum(axis=1), 1.0,
+        np.testing.assert_allclose(M_row[0].sum(axis=1), 1.0,
                                    rtol=0, atol=1e-9)
-        np.testing.assert_allclose(M_col.data[0].sum(axis=0), 1.0,
+        np.testing.assert_allclose(M_col[0].sum(axis=0), 1.0,
                                    rtol=0, atol=1e-9)
-        a = alpha.data.reshape(-1)
+        a = alpha.reshape(-1)
         assert np.all(a >= 0.0)
         assert abs(a.sum() - 1.0) <= 1e-9
-        alt = M_row.data[0].T @ beta.data
-        assert np.max(np.abs(alpha.data - alt)) <= 1e-10
+        alt = M_row[0].T @ beta
+        assert np.max(np.abs(alpha - alt)) <= 1e-10
 
 
 def test_identical_hidden_states_yield_uniform_attention():
     rng = np.random.default_rng(17)
     for steps in (1, 2, 7, 60):
         col = rng.normal(0.0, 1.0, (8, 1))
-        H = Tensor(np.tile(col, (1, steps)))
+        H = np.tile(col, (1, steps))
         *_, alpha = attention_weights(H, [steps])
-        np.testing.assert_allclose(alpha.data, 1.0 / steps, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(alpha, 1.0 / steps, rtol=0, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +168,7 @@ def test_uniform_attention_equals_mean_pool_baseline():
         uniform = np.full((steps, 1), 1.0 / steps)
         y_wp, _ = wp.forward([sample], alpha_override=uniform)
         y_base, _ = base.forward([sample])
-        assert np.array_equal(y_wp.data, y_base.data)
+        assert np.array_equal(y_wp, y_base)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import shutil
@@ -264,6 +265,53 @@ def test_eval_missing_checkpoint_is_usage_error(extracted):
                "--data", str(out / "datasets" / "all" / "test.jsonl"),
                "--out", str(out)])
     assert rc == 2
+
+
+LONG = 5000  # characters: past every file system's name limit
+
+
+@pytest.mark.parametrize("path, message", [
+    (".", "Is a directory"),
+    ("file/x", "Not a directory"),  # a path that runs through a file
+    ("b" * LONG, "File name too long"),
+], ids=["directory", "through_a_file", "too_long"])
+def test_eval_checkpoint_path_that_cannot_be_a_file_is_usage_error(path, message, tmp_path,
+                                                                   capsys):
+    (tmp_path / "file").write_text("")
+    checkpoint = str(tmp_path / path)
+    rc = main(["eval", "--checkpoint", checkpoint, "--data", str(tmp_path / "x.jsonl"),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert message in err and checkpoint in err
+
+
+def test_extract_config_that_is_a_directory_is_usage_error(tmp_path, capsys):
+    assert main(["extract", "--config", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "Is a directory" in err and str(tmp_path) in err
+
+
+def test_extract_overlong_corpus_path_is_usage_error(tmp_path, capsys):
+    assert main(["extract", "--set", f"paths.corpus={'a' * LONG}",
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "File name too long" in err and "a" * LONG in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_failed_report_write_is_a_runtime_failure(extracted, monkeypatch, capsys):
+    cfg, out = extracted
+    assert _train(cfg, out, 'model.variant="mfc"') == 0
+
+    def disk_full(path, write_fn):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+    monkeypatch.setattr("presup.cli.atomic_write", disk_full)
+    rc = main(["eval", "--checkpoint", str(out / "checkpoints" / "mfc_all.json"),
+               "--data", str(out / "datasets" / "all" / "test.jsonl"), "--out", str(out)])
+    assert rc == 1
+    assert "error: OSError: [Errno 28] No space left on device" in capsys.readouterr().err
 
 
 def test_train_missing_dataset_is_usage_error(tmp_path, corpus_path):

@@ -52,29 +52,29 @@ def test_parse_corpus_structure(corpus_docs):
 
 def test_parse_corpus_errors():
     with pytest.raises(ParseError, match="before any"):
-        parse_corpus("word\tNN\t-1\n")
+        parse_corpus(io.StringIO("word\tNN\t-1\n"))
     with pytest.raises(ParseError, match="header"):
-        parse_corpus("#doc onlyone\n")
+        parse_corpus(io.StringIO("#doc onlyone\n"))
     err = pytest.raises(ParseError, match="3 tab-separated")
     with err as e:
-        parse_corpus("#doc d 1\nword\tNN\n")
+        parse_corpus(io.StringIO("#doc d 1\nword\tNN\n"))
     assert e.value.line == 2
     with pytest.raises(ParseError, match="not an integer"):
-        parse_corpus("#doc d 1\nword\tNN\tx\n")
+        parse_corpus(io.StringIO("#doc d 1\nword\tNN\tx\n"))
     with pytest.raises(ParseError, match="out of range"):
-        parse_corpus("#doc d 1\na\tNN\t5\n\n")
+        parse_corpus(io.StringIO("#doc d 1\na\tNN\t5\n\n"))
     with pytest.raises(ParseError, match="empty token"):
-        parse_corpus("#doc d 1\n\tNN\t-1\n")
+        parse_corpus(io.StringIO("#doc d 1\n\tNN\t-1\n"))
 
 
 def test_out_of_range_heads_report_the_first():
     with pytest.raises(ParseError, match="head index 7 out of range") as e:
-        parse_corpus("#doc d 1\na\tNN\t-1\nb\tNN\t7\nc\tNN\t-2\n\n")
+        parse_corpus(io.StringIO("#doc d 1\na\tNN\t-1\nb\tNN\t7\nc\tNN\t-2\n\n"))
     assert e.value.line == 5
     with pytest.raises(ParseError, match="head index -2 out of range"):
-        parse_corpus("#doc d 1\na\tNN\t-2\nb\tNN\t7\n")
+        parse_corpus(io.StringIO("#doc d 1\na\tNN\t-2\nb\tNN\t7\n"))
     with pytest.raises(ParseError, match="head index -2 out of range"):
-        parse_corpus("#doc d 1\na\tNN\t-2\n")
+        parse_corpus(io.StringIO("#doc d 1\na\tNN\t-2\n"))
 
 
 # lines near the format: token lines with odd fields, headers, blanks and junk
@@ -98,7 +98,8 @@ def test_parse_corpus_matches_the_reference_parser_on_any_lines(header, lines, e
 
     lines = ["#doc d 1"] * header + lines
     text = end.join(lines)
-    assert outcome(parse_corpus, text) == outcome(parse_corpus_reference, text)
+    assert outcome(parse_corpus, io.StringIO(text)) == \
+        outcome(parse_corpus_reference, io.StringIO(text))
     kept = [line + "\n" for line in lines]  # as a file iterator yields them
     assert outcome(parse_corpus, iter(kept)) == outcome(parse_corpus_reference, iter(kept))
 
@@ -152,7 +153,6 @@ def _corpus(draw):
 @given(_corpus())
 def test_parse_corpus_round_trip_property(corpus):
     text, docs = corpus
-    assert parse_corpus(text) == docs
     assert parse_corpus(io.StringIO(text)) == docs
 
 

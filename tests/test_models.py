@@ -21,7 +21,7 @@ from presup.models import (EVAL_CHUNK, VARIANTS, LogRegModel, MfcModel,
                            lstm_sequence, logreg_featurize, pool_states)
 from presup.optim import ParamStore
 from presup.rng import Rng
-from presup.tensor import Tape, Tensor, backward
+from presup.tensor import Tape, backward
 from presup.training import batch_loss, sample_target
 from presup.vocab import UNK, Vocab, build_vocab
 
@@ -88,22 +88,22 @@ def _manual_lstm(X, W, b, reverse):
 def test_lstm_sequence_matches_reference():
     rng = Rng(11)
     s, n, steps = 3, 4, 6
-    X = Tensor(rng.uniform(-1, 1, (steps, n)))
-    W = Tensor(rng.uniform(-0.5, 0.5, (4 * s, n + s)))
-    b = Tensor(rng.uniform(-0.2, 0.2, (4 * s, 1)))
+    X = rng.uniform(-1, 1, (steps, n))
+    W = rng.uniform(-0.5, 0.5, (4 * s, n + s))
+    b = rng.uniform(-0.2, 0.2, (4 * s, 1))
     for reverse in (False, True):
         out = lstm_sequence(X, W, b, reverse, [steps], *_each_row(X))
-        np.testing.assert_allclose(out.data, _manual_lstm(X.data, W.data, b.data,
+        np.testing.assert_allclose(out, _manual_lstm(X, W, b,
                                                           reverse), atol=1e-12)
 
 
 def test_lstm_sequence_gradients():
     rng = Rng(12)
     s, n, steps = 3, 4, 5
-    X = Tensor(rng.uniform(-1, 1, (steps, n)))
-    W = Tensor(rng.uniform(-0.5, 0.5, (4 * s, n + s)))
-    b = Tensor(rng.uniform(-0.2, 0.2, (4 * s, 1)))
-    proj = Tensor(rng.uniform(-1, 1, (steps, s)))
+    X = rng.uniform(-1, 1, (steps, n))
+    W = rng.uniform(-0.5, 0.5, (4 * s, n + s))
+    b = rng.uniform(-0.2, 0.2, (4 * s, 1))
+    proj = rng.uniform(-1, 1, (steps, s))
 
     def loss():
         with CheckedTape() as tape:
@@ -115,7 +115,7 @@ def test_lstm_sequence_gradients():
     grads = backward(tape, out, wrt=[X, W, b])
     assert tape.unchanged()
     for t in (X, W, b):
-        fd = fd_gradient(lambda: loss()[1].item(), t.data)
+        fd = fd_gradient(lambda: loss()[1].item(), t)
         assert max_rel_err(fd, grads.wrt(t)) < 1e-6
 
 
@@ -146,7 +146,7 @@ def _manual_conv_max_pool(X, W, b, width, steps, g):
 def _conv_max_pool_grads(X, W, b, width, steps, g):
     with CheckedTape() as tape:
         out = conv_max_pool(X, W, b, width, steps, *_each_row(X))
-        loss = tape_sum(T.mul(out, Tensor(g)))
+        loss = tape_sum(T.mul(out, g))
     assert tape.unchanged()
     grads = backward(tape, loss, wrt=[X, W, b])
     return out, [grads.wrt(t) for t in (X, W, b)]
@@ -171,36 +171,36 @@ def test_conv_max_pool_matches_per_sample_reference(data):
 
     X = quarters(B, steps, n)
     X[np.arange(steps) >= np.array(lengths)[:, None]] = 0.0  # zero padding rows
-    X = Tensor(X.reshape(B * steps, n))
-    W, b, g = Tensor(quarters(width * n, maps)), Tensor(quarters(1, maps)), quarters(maps, B)
+    X = X.reshape(B * steps, n)
+    W, b, g = quarters(width * n, maps), quarters(1, maps), quarters(maps, B)
     out, grads = _conv_max_pool_grads(X, W, b, width, steps, g)
-    expected = _manual_conv_max_pool(X.data, W.data, b.data, width, steps, g)
-    np.testing.assert_array_equal(out.data, expected[0])
+    expected = _manual_conv_max_pool(X, W, b, width, steps, g)
+    np.testing.assert_array_equal(out, expected[0])
     for got, want in zip(grads, expected[1:]):
         np.testing.assert_array_equal(got, want)
 
 
 def test_conv_max_pool_tie_routes_gradient_to_first_window():
     # rows 1 and 3 are equal, so the width-1 windows at t=1 and t=3 tie
-    X = Tensor(np.array([[0.0, 1.0], [2.0, 1.0], [0.5, 0.0], [2.0, 1.0], [0.0, 0.0]]))
-    W, b = Tensor(np.array([[1.0], [1.0]])), Tensor(np.zeros((1, 1)))
+    X = np.array([[0.0, 1.0], [2.0, 1.0], [0.5, 0.0], [2.0, 1.0], [0.0, 0.0]])
+    W, b = np.array([[1.0], [1.0]]), np.zeros((1, 1))
     out, (d_X, d_W, d_b) = _conv_max_pool_grads(X, W, b, 1, 5, np.ones((1, 1)))
-    assert out.data[0, 0] == 3.0
+    assert out[0, 0] == 3.0
     np.testing.assert_array_equal(d_X[:, 0], [0.0, 1.0, 0.0, 0.0, 0.0])
     np.testing.assert_array_equal(d_W[:, 0], [2.0, 1.0])
 
 
 def test_conv_max_pool_shape_errors():
-    X, b = Tensor(np.zeros((8, 3))), Tensor(np.zeros((1, 2)))
+    X, b = np.zeros((8, 3)), np.zeros((1, 2))
     rows = _each_row(X)
     with pytest.raises(ShapeError):
-        conv_max_pool(X, Tensor(np.zeros((8, 2))), b, 3, 4, *rows)  # W rows != width * n
+        conv_max_pool(X, np.zeros((8, 2)), b, 3, 4, *rows)  # W rows != width * n
     with pytest.raises(ShapeError):
-        conv_max_pool(X, Tensor(np.zeros((15, 2))), b, 5, 4, *rows)  # wider than a sample
+        conv_max_pool(X, np.zeros((15, 2)), b, 5, 4, *rows)  # wider than a sample
     with pytest.raises(ShapeError):
-        conv_max_pool(X, Tensor(np.zeros((9, 2))), b, 3, 3, *rows)  # 8 rows are not 3-row samples
+        conv_max_pool(X, np.zeros((9, 2)), b, 3, 3, *rows)  # 8 rows are not 3-row samples
     with pytest.raises(ShapeError):
-        conv_max_pool(X, Tensor(np.zeros((9, 2))), Tensor(np.zeros((2, 1))), 3, 4, *rows)
+        conv_max_pool(X, np.zeros((9, 2)), np.zeros((2, 1)), 3, 4, *rows)
 
 
 def test_bilstm_shape_and_init():
@@ -209,17 +209,17 @@ def test_bilstm_shape_and_init():
     _, trace = model.forward([samples[0]], return_trace=True)
     assert trace.H.shape == (2 * s, len(samples[0].tokens))
     for direction in ("fwd", "bwd"):
-        b = model.params[f"lstm_{direction}_b"].data
+        b = model.params[f"lstm_{direction}_b"]
         np.testing.assert_array_equal(b[s:2 * s], 1.0)  # forget gate bias
         assert np.all(b[:s] == 0.0) and np.all(b[2 * s:] == 0.0)
-        W = model.params[f"lstm_{direction}_W"].data
+        W = model.params[f"lstm_{direction}_W"]
         assert np.all(np.abs(W) <= 0.08)
 
 
 def _reference_batch(rng, lengths, n):
     """Padded rows b*T + t filled with noise: the mask, not zeros, must
     keep them out."""
-    return Tensor(rng.uniform(-1, 1, (len(lengths) * max(lengths), n)))
+    return rng.uniform(-1, 1, (len(lengths) * max(lengths), n))
 
 
 @settings(max_examples=60, deadline=None)
@@ -234,13 +234,13 @@ def test_lstm_sequence_batch_matches_per_sequence_reference(data):
     rng = Rng(data.draw(st.integers(0, 2 ** 32), label="seed"))
     steps = max(lengths)
     X = _reference_batch(rng, lengths, n)
-    W = Tensor(rng.uniform(-0.8, 0.8, (4 * s, n + s)))
-    b = Tensor(rng.uniform(-0.5, 0.5, (4 * s, 1)))
+    W = rng.uniform(-0.8, 0.8, (4 * s, n + s))
+    b = rng.uniform(-0.5, 0.5, (4 * s, 1))
     out = lstm_sequence(X, W, b, reverse, lengths, *_each_row(X))
     assert out.shape == (s, B * steps)
     for k, length in enumerate(lengths):
-        cols = out.data[:, k * steps:(k + 1) * steps]
-        expected = _manual_lstm(X.data[k * steps:k * steps + length], W.data, b.data,
+        cols = out[:, k * steps:(k + 1) * steps]
+        expected = _manual_lstm(X[k * steps:k * steps + length], W, b,
                                 reverse)
         np.testing.assert_allclose(cols[:, :length], expected, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(cols[:, length:], 0.0)
@@ -250,9 +250,9 @@ def test_lstm_sequence_batch_gradients():
     rng = Rng(13)
     s, n, lengths = 3, 4, [1, 5, 3]
     X = _reference_batch(rng, lengths, n)
-    W = Tensor(rng.uniform(-0.5, 0.5, (4 * s, n + s)))
-    b = Tensor(rng.uniform(-0.2, 0.2, (4 * s, 1)))
-    proj = Tensor(rng.uniform(-1, 1, (X.shape[0], s)))
+    W = rng.uniform(-0.5, 0.5, (4 * s, n + s))
+    b = rng.uniform(-0.2, 0.2, (4 * s, 1))
+    proj = rng.uniform(-1, 1, (X.shape[0], s))
 
     def loss(reverse):
         with CheckedTape() as tape:
@@ -265,7 +265,7 @@ def test_lstm_sequence_batch_gradients():
         grads = backward(tape, out, wrt=[X, W, b])
         assert tape.unchanged()
         for t in (X, W, b):
-            fd = fd_gradient(lambda: loss(reverse)[1].item(), t.data)
+            fd = fd_gradient(lambda: loss(reverse)[1].item(), t)
             assert max_rel_err(fd, grads.wrt(t)) < 1e-6
         steps = max(lengths)
         padded = [k * steps + t for k, length in enumerate(lengths)
@@ -274,8 +274,8 @@ def test_lstm_sequence_batch_gradients():
 
 
 def test_lstm_sequence_rejects_lengths_that_do_not_fit():
-    X = Tensor(np.zeros((6, 2)))
-    W, b = Tensor(np.zeros((4, 3))), Tensor(np.zeros((4, 1)))
+    X = np.zeros((6, 2))
+    W, b = np.zeros((4, 3)), np.zeros((4, 1))
     for lengths in ([4, 2], [2, 0], [1, 1, 1, 1]):
         with pytest.raises(ShapeError):
             lstm_sequence(X, W, b, False, lengths, *_each_row(X))
@@ -287,50 +287,50 @@ def test_lstm_sequence_rejects_lengths_that_do_not_fit():
 
 def test_attention_invariants_small():
     rng = Rng(3)
-    H = Tensor(rng.uniform(-2, 2, (8, 7)))
+    H = rng.uniform(-2, 2, (8, 7))
     M, M_row, M_col, beta, alpha = attention_weights(H, [7])
-    M, M_row, M_col = M.data[0], M_row.data[0], M_col.data[0]
-    np.testing.assert_allclose(M, H.data.T @ H.data, atol=1e-12)
+    M, M_row, M_col = M[0], M_row[0], M_col[0]
+    np.testing.assert_allclose(M, H.T @ H, atol=1e-12)
     np.testing.assert_allclose(M_row.sum(axis=1), 1.0, atol=1e-12)
     np.testing.assert_allclose(M_col.sum(axis=0), 1.0, atol=1e-12)
-    np.testing.assert_allclose(beta.data, M_row.mean(axis=0)[:, None],
+    np.testing.assert_allclose(beta, M_row.mean(axis=0)[:, None],
                                atol=1e-12)
-    assert np.all(alpha.data >= 0)
-    assert alpha.data.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.all(alpha >= 0)
+    assert alpha.sum() == pytest.approx(1.0, abs=1e-12)
     # symmetry of the Gram matrix makes the two attention forms coincide
-    np.testing.assert_allclose(alpha.data, M_row.T @ beta.data, atol=1e-12)
+    np.testing.assert_allclose(alpha, M_row.T @ beta, atol=1e-12)
 
 
 def test_attention_uniform_on_identical_states():
     h = Rng(4).uniform(-1, 1, (6, 1))
-    H = Tensor(np.repeat(h, 5, axis=1))
+    H = np.repeat(h, 5, axis=1)
     *_, alpha = attention_weights(H, [5])
-    np.testing.assert_allclose(alpha.data, np.full((5, 1), 0.2), atol=1e-12)
+    np.testing.assert_allclose(alpha, np.full((5, 1), 0.2), atol=1e-12)
 
 
 def test_attention_batch_matches_per_sequence():
     rng = Rng(5)
     lengths, steps = [1, 6, 3], 6
-    H = Tensor(rng.uniform(-2, 2, (8, len(lengths) * steps)))
+    H = rng.uniform(-2, 2, (8, len(lengths) * steps))
     M, M_row, M_col, beta, alpha = attention_weights(H, lengths)
     assert M.shape == (3, steps, steps) and alpha.shape == beta.shape == (steps, 3)
     for k, length in enumerate(lengths):
-        single = attention_weights(Tensor(H.data[:, k * steps:k * steps + length]), [length])
-        for batched, one in zip((M_row.data[k], M_col.data[k]), single[1:3]):
-            np.testing.assert_allclose(batched[:length, :length], one.data[0], atol=1e-12)
+        single = attention_weights(H[:, k * steps:k * steps + length], [length])
+        for batched, one in zip((M_row[k], M_col[k]), single[1:3]):
+            np.testing.assert_allclose(batched[:length, :length], one[0], atol=1e-12)
             np.testing.assert_array_equal(batched[length:], 0.0)
             np.testing.assert_array_equal(batched[:, length:], 0.0)
         for batched, one in ((beta, single[3]), (alpha, single[4])):
-            np.testing.assert_allclose(batched.data[:length, k:k + 1], one.data,
+            np.testing.assert_allclose(batched[:length, k:k + 1], one,
                                        atol=1e-12)
-            np.testing.assert_array_equal(batched.data[length:, k], 0.0)
+            np.testing.assert_array_equal(batched[length:, k], 0.0)
 
 
 def test_attention_and_pool_gradients_over_a_padded_batch():
     rng = Rng(6)
     lengths, steps = [2, 4, 1], 4
-    H = Tensor(rng.uniform(-1, 1, (6, len(lengths) * steps)))
-    proj = Tensor(rng.uniform(-1, 1, (3, 6)))
+    H = rng.uniform(-1, 1, (6, len(lengths) * steps))
+    proj = rng.uniform(-1, 1, (3, 6))
 
     def loss():
         with CheckedTape() as tape:
@@ -343,7 +343,7 @@ def test_attention_and_pool_gradients_over_a_padded_batch():
     assert len(tape) == 6  # attention and pooling are one node each
     assert tape.unchanged()
     grads = backward(tape, out, wrt=[H])
-    fd = fd_gradient(lambda: loss()[1].item(), H.data)
+    fd = fd_gradient(lambda: loss()[1].item(), H)
     assert max_rel_err(fd, grads.wrt(H)) < 1e-6  # padded columns: both zero
 
 
@@ -361,7 +361,7 @@ def test_uniform_alpha_reproduces_mean_pooling():
         steps = len(sample.tokens)
         forced, _ = wp.forward([sample], alpha_override=np.full((steps, 1), 1 / steps))
         mean_pooled, _ = baseline.forward([sample])
-        assert np.array_equal(forced.data, mean_pooled.data)
+        assert np.array_equal(forced, mean_pooled)
 
 
 def test_forward_trace_contents():
@@ -372,18 +372,18 @@ def test_forward_trace_contents():
     assert trace.M.shape == (steps, steps)
     assert trace.alpha.shape == (steps, 1)
     np.testing.assert_allclose(trace.alpha.sum(), 1.0, atol=1e-12)
-    np.testing.assert_array_equal(trace.y_hat, y_hat.data)
+    np.testing.assert_array_equal(trace.y_hat, y_hat)
     assert y_hat.shape == (2, 1)
-    assert y_hat.data.sum() == pytest.approx(1.0, abs=1e-12)
+    assert y_hat.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_dropout_only_in_train_mode():
     # tanh keeps every dense unit active, so dropout visibly perturbs the output
     samples, _, wp = _setup("wp", activation="tanh")
-    a = wp.forward([samples[0]])[0].data
-    b = wp.forward([samples[0]])[0].data
+    a = wp.forward([samples[0]])[0]
+    b = wp.forward([samples[0]])[0]
     assert np.array_equal(a, b)
-    t1 = wp.forward([samples[0]], rng=Rng(1), dropout_p=0.5)[0].data
+    t1 = wp.forward([samples[0]], rng=Rng(1), dropout_p=0.5)[0]
     assert not np.array_equal(t1, a)
 
 
@@ -416,7 +416,7 @@ def test_mixed_length_batch_equals_batches_of_one(variant, pos_mode):
     assert y_hat.shape == (2, len(batch))
     for k, sample in enumerate(batch):
         one, _ = model.forward([sample])
-        np.testing.assert_allclose(y_hat.data[:, k:k + 1], one.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(y_hat[:, k:k + 1], one, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("variant", ["wp", "lstm", "cnn"])
@@ -428,8 +428,8 @@ def test_batched_dropout_equals_sequential_forwards(variant):
     rng = Rng(9)
     for k, sample in enumerate(batch):
         one, _ = model.forward([sample], rng=rng, dropout_p=0.5)
-        np.testing.assert_allclose(y_hat.data[:, k:k + 1], one.data, rtol=0, atol=1e-12)
-    assert not np.allclose(y_hat.data, model.forward(batch)[0].data)
+        np.testing.assert_allclose(y_hat[:, k:k + 1], one, rtol=0, atol=1e-12)
+    assert not np.allclose(y_hat, model.forward(batch)[0])
 
 
 @pytest.mark.parametrize("variant", ["wp", "lstm", "cnn"])
@@ -438,7 +438,7 @@ def test_gradients_through_a_mixed_length_batch(variant):
     for w in model.cfg.cnn_widths if variant == "cnn" else ():
         # a window over zero padding scores exactly the bias: off zero, it
         # keeps the pooled maximum away from the relu kink
-        model.params[f"conv{w}_b"].data += 0.1
+        model.params[f"conv{w}_b"][...] += 0.1
     # repeated (token, POS) pairs: the projection runs over distinct rows,
     # while the learned POS rows still get a gradient from every step
     batch = _mixed_batch(seed=2, lengths=[4, 1, 6, 2]) + _repetitive_batch()
@@ -458,8 +458,8 @@ def test_gradients_through_a_mixed_length_batch(variant):
     assert tape.unchanged()
     grads = backward(tape, out, wrt=_trainables(model)).for_store(model.params)
     for name, p in model.params.items():
-        probe = coords.choice(p.data.size, size=min(p.data.size, 8), replace=False)
-        fd = fd_gradient(lambda: loss()[1].item(), p.data, coords=probe)
+        probe = coords.choice(p.size, size=min(p.size, 8), replace=False)
+        fd = fd_gradient(lambda: loss()[1].item(), p, coords=probe)
         assert max_rel_err(fd, grads[name]) < 1e-4, name
 
 
@@ -472,7 +472,7 @@ def test_backward_wrt_trainables_skips_frozen_inputs(variant, pos_mode):
     with Tape() as tape:
         y_hat, _ = model.forward(batch, rng=Rng(2))
         loss = batch_loss(y_hat, [sample_target(s) for s in batch])
-    # every tensor on the tape: each node's VJP is asked for every input
+    # every array on the tape: each node's VJP is asked for every input
     everything = [t for node in tape.nodes for t in node.inputs]
     full = backward(tape, loss, wrt=everything).for_store(model.params)
 
@@ -502,10 +502,10 @@ def test_backward_wrt_trainables_skips_frozen_inputs(variant, pos_mode):
 @pytest.mark.parametrize("variant", ["wp", "cnn"])
 def test_predict_labels_in_sorted_chunks_keep_input_order(variant):
     _, _, model = _setup(variant, activation="tanh", max_len=60, cnn_widths=(2, 3))
-    model.params["out_W"].data *= 100.0  # so that both labels occur
+    model.params["out_W"][...] *= 100.0  # so that both labels occur
     lengths = [(k * 37) % 23 + 1 for k in range(EVAL_CHUNK + 9)]
     batch = _mixed_batch(seed=3, lengths=lengths)
-    one_by_one = [int(np.argmax(model.forward([s])[0].data)) for s in batch]
+    one_by_one = [int(np.argmax(model.forward([s])[0])) for s in batch]
     assert 0 < sum(one_by_one) < len(batch)
     assert model.predict_labels(batch) == one_by_one
     assert [model.predict_label(s) for s in batch] == one_by_one
@@ -526,12 +526,12 @@ def test_embed_sequence_widths_and_unknowns():
                           pos_mode="one_hot")
     X_hot, _, _ = embed_sequence([samples[0]], vocab, emb, cfg_hot, model.params)
     assert X_hot.shape == (6, 6 + len(vocab.pos_tags))
-    row = X_hot.data[0]
+    row = X_hot[0]
     assert row[6:].sum() == 1.0  # exactly one active POS bit
 
     unknown = Sample("none", ["zzz", MARKER, "run"], ["XX", MARKER, "VB"], "0")
     X_unk, _, _ = embed_sequence([unknown], vocab, emb, cfg_off, model.params)
-    np.testing.assert_array_equal(X_unk.data[0], emb[vocab.unk_id])
+    np.testing.assert_array_equal(X_unk[0], emb[vocab.unk_id])
 
 
 @settings(max_examples=60, deadline=None)
@@ -550,7 +550,7 @@ def test_distinct_rows_rebuild_every_row(data):
     steps = data.draw(st.sampled_from([max(lengths), max(lengths) + 2]), label="steps")
     X, first, index = embed_sequence(batch, vocab, model.embeddings, model.cfg,
                                      model.params, steps)
-    assert X.data[first][index].tobytes() == X.data.tobytes()
+    assert X[first][index].tobytes() == X.tobytes()
     # one distinct row per token id (and POS id, when POS is used), plus
     # one for all padded steps
     rows = {}
@@ -589,7 +589,7 @@ def test_forward_over_distinct_rows_matches_per_row_projection(variant, pos_mode
     monkeypatch.setattr(models, "_distinct_rows",
                         lambda key: (np.arange(key.size), np.arange(key.size)))
     reference, _ = model.forward(batch)
-    np.testing.assert_allclose(y_hat.data, reference.data, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(y_hat, reference, rtol=0, atol=1e-12)
 
 
 def test_cnn_padded_steps_share_an_all_zero_row(monkeypatch):
@@ -598,7 +598,7 @@ def test_cnn_padded_steps_share_an_all_zero_row(monkeypatch):
     seen = []
 
     def spy(X, W, b, width, steps, first, index):
-        seen.append((X.data, first, index))
+        seen.append((X, first, index))
         return conv_max_pool(X, W, b, width, steps, first, index)
 
     monkeypatch.setattr(models, "conv_max_pool", spy)
@@ -632,7 +632,7 @@ def test_cnn_forward_shape_and_gradients():
     samples, _, cnn = _setup("cnn", cnn_widths=(2, 3), cnn_maps=4, max_len=10)
     y_hat, _ = cnn.forward([samples[0]])
     assert y_hat.shape == (2, 1)
-    assert y_hat.data.sum() == pytest.approx(1.0, abs=1e-12)
+    assert y_hat.sum() == pytest.approx(1.0, abs=1e-12)
 
     def loss():
         with Tape() as tape:
@@ -643,7 +643,7 @@ def test_cnn_forward_shape_and_gradients():
     tape, l = loss()
     grads = backward(tape, l, wrt=_trainables(cnn))
     for name, t in cnn.params.items():
-        fd = fd_gradient(lambda: loss()[1].item(), t.data)
+        fd = fd_gradient(lambda: loss()[1].item(), t)
         assert max_rel_err(fd, grads.wrt(t)) < 1e-4, name
 
 
@@ -814,7 +814,7 @@ def _assert_same_predictions(a, b, samples):
         if isinstance(a, LogRegModel):
             assert logreg_proba(a, s).tobytes() == logreg_proba(b, s).tobytes()
         elif hasattr(a, "forward"):
-            assert a.forward([s])[0].data.tobytes() == b.forward([s])[0].data.tobytes()
+            assert a.forward([s])[0].tobytes() == b.forward([s])[0].tobytes()
 
 
 def _fitted(variant):
@@ -1081,7 +1081,7 @@ def _model_arrays(model) -> dict:
     if isinstance(model, LogRegModel):
         return {"weights": model.w}
     return {"embeddings": model.embeddings,
-            **{name: t.data for name, t in model.params.items()}}
+            **dict(model.params.items())}
 
 
 def _assert_resaves_as_v3(model, stored, tmp_path):
@@ -1106,7 +1106,7 @@ def test_v1_checkpoint_still_loads(variant, data_dir, tmp_path):
     # allows for another BLAS kernel's summation order
     for sample, expected in zip(V1_PROBE, V1_PROBA[variant]):
         proba = logreg_proba(model, sample) if variant == "logreg" \
-            else model.forward([sample])[0].data.reshape(-1)
+            else model.forward([sample])[0].reshape(-1)
         np.testing.assert_allclose(proba, expected, rtol=1e-12, atol=0)
     labels = [int(p[1] >= 0.5) if variant == "logreg" else int(np.argmax(p))
               for p in V1_PROBA[variant]]

@@ -5,7 +5,6 @@ from oracles import count_params
 from presup.errors import UsageError
 from presup.optim import AdamState, ParamStore, adam_step, clip_gradients
 from presup.rng import Rng, derive_seed, dropout_mask
-from presup.tensor import Tensor
 
 # ---------------------------------------------------------------------------
 # randomness
@@ -98,8 +97,8 @@ def test_dropout_mask_rejects_bad_p():
 
 def _store():
     store = ParamStore()
-    store.add("b_second", Tensor(np.zeros((2, 1))))
-    store.add("a_first", Tensor(np.ones((3, 3))))
+    store.add("b_second", np.zeros((2, 1)))
+    store.add("a_first", np.ones((3, 3)))
     return store
 
 
@@ -112,7 +111,7 @@ def test_store_iterates_sorted_and_counts_trainable():
 def test_store_rejects_duplicates_and_bad_shapes():
     store = _store()
     with pytest.raises(UsageError):
-        store.add("a_first", Tensor(np.zeros((1, 1))))
+        store.add("a_first", np.zeros((1, 1)))
     with pytest.raises(UsageError):
         store.load_values({"a_first": np.zeros((2, 2))})
 
@@ -120,12 +119,12 @@ def test_store_rejects_duplicates_and_bad_shapes():
 def test_store_copy_load_round_trip():
     store = _store()
     snapshot = store.copy_values()
-    store["a_first"].data += 5.0
+    store["a_first"][...] += 5.0
     store.load_values(snapshot)
-    np.testing.assert_array_equal(store["a_first"].data, np.ones((3, 3)))
+    np.testing.assert_array_equal(store["a_first"], np.ones((3, 3)))
     # copy is a deep snapshot, not a view
     snapshot["a_first"][0, 0] = 99.0
-    assert store["a_first"].data[0, 0] == 1.0
+    assert store["a_first"][0, 0] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -159,22 +158,22 @@ def _adam_reference(grads_seq, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
 
 def test_adam_first_step_closed_form():
     store = ParamStore()
-    store.add("w", Tensor(np.zeros((1, 1))))
+    store.add("w", np.zeros((1, 1)))
     state = AdamState(store, lr=1e-3)
     adam_step(store, {"w": np.ones((1, 1))}, state)
     # t=1 with g=1: m_hat = v_hat = 1, so the step is -lr / (1 + eps)
     expected = -1e-3 / (1.0 + 1e-8)
-    np.testing.assert_allclose(store["w"].data, [[expected]], rtol=0, atol=1e-18)
+    np.testing.assert_allclose(store["w"], [[expected]], rtol=0, atol=1e-18)
 
 
 def test_adam_matches_reference_over_steps():
     store = ParamStore()
-    store.add("w", Tensor(np.zeros((1, 1))))
+    store.add("w", np.zeros((1, 1)))
     state = AdamState(store, lr=1e-3)
     grads_seq = [1.0, -0.5, 0.25, 2.0, -1.0]
     for g in grads_seq:
         adam_step(store, {"w": np.full((1, 1), g)}, state)
-    np.testing.assert_allclose(store["w"].data.item(),
+    np.testing.assert_allclose(store["w"].item(),
                                _adam_reference(grads_seq), rtol=1e-14)
     assert state.t == len(grads_seq)
 
@@ -186,7 +185,7 @@ def test_adam_updates_every_entry_and_requires_all_gradients():
     grads = {"a_first": np.ones((3, 3)), "b_second": np.ones((2, 1))}
     adam_step(store, grads, state)
     # the first Adam step moves every component by lr against its gradient
-    np.testing.assert_allclose(store["a_first"].data, np.full((3, 3), 0.9))
-    np.testing.assert_allclose(store["b_second"].data, np.full((2, 1), -0.1))
+    np.testing.assert_allclose(store["a_first"], np.full((3, 3), 0.9))
+    np.testing.assert_allclose(store["b_second"], np.full((2, 1), -0.1))
     with pytest.raises(UsageError):
         adam_step(store, {"a_first": np.ones((3, 3))}, state)

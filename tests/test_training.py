@@ -10,7 +10,7 @@ from presup.extraction import MARKER, Sample
 from presup.models import WPModel
 from presup.optim import ParamStore
 from presup.rng import Rng
-from presup.tensor import Tape, Tensor, backward
+from presup.tensor import backward
 from presup.training import batch_loss, evaluate, sample_target, train
 from presup.vocab import build_vocab
 
@@ -37,13 +37,13 @@ class _StubModel:
 
     def __init__(self, probs=(0.3, 0.7)):
         self.params = ParamStore()
-        self.params.add("w", Tensor(np.zeros((1, 1))))
+        self.params.add("w", np.zeros((1, 1)))
         self.probs = np.array(probs, dtype=float).reshape(2, 1)
         self.samples_seen = 0
 
     def forward(self, samples, rng=None, dropout_p=0.5):
         self.samples_seen += len(samples)
-        return Tensor(np.repeat(self.probs, len(samples), axis=1)), None
+        return np.repeat(self.probs, len(samples), axis=1), None
 
     def predict_labels(self, samples):
         return [int(self.probs[1, 0] >= 0.5)] * len(samples)
@@ -56,7 +56,7 @@ def test_sample_target():
 
 
 def test_batch_loss_matches_hand_value():
-    probs = Tensor([[0.2, 0.6], [0.8, 0.4]])
+    probs = np.array([[0.2, 0.6], [0.8, 0.4]])
     loss = batch_loss(probs, [1, 0])
     expected = -(math.log(0.8) + math.log(0.6)) / 2
     assert loss.item() == pytest.approx(expected, rel=1e-12)
@@ -64,14 +64,14 @@ def test_batch_loss_matches_hand_value():
 
 def test_batch_loss_clamps_zero_probabilities(caplog):
     with caplog.at_level("WARNING"):
-        loss = batch_loss(Tensor([[1.0], [0.0]]), [1])
+        loss = batch_loss(np.array([[1.0], [0.0]]), [1])
     assert math.isfinite(loss.item())
     assert loss.item() == pytest.approx(-math.log(1e-12))
     assert any("clamped" in r.message for r in caplog.records)
 
 
 def test_batch_loss_gradients_with_a_clamped_probability():
-    probs = Tensor([[0.3, 0.9, 1.0 - 1e-13, 0.45], [0.7, 0.1, 1e-13, 0.55]])
+    probs = np.array([[0.3, 0.9, 1.0 - 1e-13, 0.45], [0.7, 0.1, 1e-13, 0.55]])
     labels = [1, 0, 1, 1]
 
     def loss():
@@ -87,20 +87,20 @@ def test_batch_loss_gradients_with_a_clamped_probability():
     for k in range(4):
         # a step small enough to stay below the floor on the clamped entry
         eps = 1e-14 if k == 2 else 1e-5
-        fd = fd_gradient(lambda: loss()[1].item(), probs.data, eps=eps,
+        fd = fd_gradient(lambda: loss()[1].item(), probs, eps=eps,
                          coords=[k, 4 + k])
         assert max_rel_err(fd, grad) < 1e-6
 
 
 def test_batch_loss_errors():
     with pytest.raises(UsageError):
-        batch_loss(Tensor(np.zeros((2, 0))), [])
+        batch_loss(np.zeros((2, 0)), [])
     with pytest.raises(UsageError):
-        batch_loss(Tensor([[0.5], [0.5]]), [0, 1])
+        batch_loss(np.array([[0.5], [0.5]]), [0, 1])
     with pytest.raises(UsageError):
-        batch_loss(Tensor([[0.5], [0.5]]), [2])
+        batch_loss(np.array([[0.5], [0.5]]), [2])
     with pytest.raises(ShapeError):
-        batch_loss(Tensor([[0.5, 0.5]]), [0, 1])
+        batch_loss(np.array([[0.5, 0.5]]), [0, 1])
 
 
 def test_evaluate_report():
@@ -167,7 +167,7 @@ def test_best_epoch_parameters_are_restored():
     result = train(model, samples, samples, cfg, Rng(1), dev_eval=recording)
     assert result.best_epoch == 2
     for name, arr in snapshots[2].items():
-        np.testing.assert_array_equal(model.params[name].data, arr)
+        np.testing.assert_array_equal(model.params[name], arr)
     # parameters moved between epochs, so the restore was meaningful
     assert any(not np.array_equal(snapshots[2][k], snapshots[3][k])
                for k in snapshots[2])

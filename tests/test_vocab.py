@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -159,6 +160,30 @@ def test_a_cache_hit_gives_the_table_of_a_miss_without_parsing(data_dir, tmp_pat
     # the cache holds every row of the file, so another vocabulary hits too
     other_hit = load_embeddings(vectors, other, Rng(4), 5, tmp_path / "cache")
     assert other_hit.tobytes() == other_miss.tobytes()
+
+
+# A hit hashes the file in 1 MB chunks and reads the cache's header (one
+# token per file row), then only the vocabulary's rows. Converting every row
+# of the file, as a miss does, holds ROWS * DIM floats: four times the bound.
+ROWS, DIM, HIT_PEAK_BYTES = 20_000, 100, 4_000_000
+
+
+def test_a_cache_hit_costs_the_vocabulary_not_the_file(tmp_path, monkeypatch):
+    assert ROWS * DIM * 8 >= 4 * HIT_PEAK_BYTES
+    vectors = tmp_path / "vectors.txt"
+    values = " ".join(["0.5"] * DIM)
+    vectors.write_text("".join(f"w{i} {values}\n" for i in range(ROWS)), encoding="utf-8")
+    vocab = _vocab_of([f"w{i}" for i in range(0, ROWS, 1000)])  # 20 of the 20,000 rows
+    miss = load_embeddings(vectors, vocab, Rng(2), DIM, tmp_path / "cache")
+    monkeypatch.setattr(vocab_module, "parse_vector_file", _no_parse)
+    tracemalloc.start()
+    try:
+        hit = load_embeddings(vectors, vocab, Rng(2), DIM, tmp_path / "cache")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hit.tobytes() == miss.tobytes()
+    assert peak < HIT_PEAK_BYTES
 
 
 def test_the_cache_is_keyed_on_content_not_on_size_or_mtime(data_dir, tmp_path):
